@@ -17,7 +17,6 @@ from .losses import (
     LossResult,
     ScaleLossConfig,
     WeightLossConfig,
-    WeightMode,
     gradient_check,
     loss_scale_sisdr,
     loss_sisdr,

@@ -27,7 +27,7 @@ from .extractor import (
     save_checkpoint,
     train,
 )
-from .losses import LossKind, ScaleLossConfig, WeightLossConfig, WeightMode
+from .losses import LossKind, ScaleLossConfig, WeightLossConfig
 from .metrics import (
     BinEdges,
     SiSdrConfig,
@@ -59,7 +59,6 @@ def _add_loss_flags(p: argparse.ArgumentParser):
     p.add_argument("--gamma1", type=float, default=1.0)
     p.add_argument("--gamma2", type=float, default=1.0)
     p.add_argument("--weights", default="5,5,1,1", help="class weights w0,w1,w2,w3")
-    p.add_argument("--weight-mode", choices=["sum", "count"], default="sum")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -110,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p_cmp)
     _add_metric_flags(p_cmp)
     _add_loss_flags(p_cmp)
-
-    # Config-file overrides must be applied per subparser: a subcommand's own
-    # defaults overwrite anything set on the top-level namespace.
-    parser.subparsers = [parser, p_eval, p_dist, p_train, p_cmp]
     return parser
 
 
@@ -125,7 +120,10 @@ def parse_args(argv) -> argparse.Namespace:
         with open(pre.config) as fh:
             overrides = json.load(fh)
         overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-        for sub in parser.subparsers:
+        # Config-file overrides must be applied per subparser: a subcommand's
+        # own defaults overwrite anything set on the top-level namespace.
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for sub in [parser, *commands.choices.values()]:
             dests = {a.dest for a in sub._actions}
             applicable = {k: v for k, v in overrides.items() if k in dests}
             if applicable:
@@ -134,8 +132,7 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
-    return cfg
+    return {k: v for k, v in sorted(vars(args).items()) if k != "config"}
 
 
 def _parse_floats(text: str, name: str, n: int) -> tuple[float, ...]:
@@ -272,18 +269,32 @@ def _train_setup(args, loss_kind: LossKind) -> LossSetup:
         activity=ActivityConfig(eta_db=args.eta),
         sisdr_cfg=SiSdrConfig(clamp_db=args.clamp_db),
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
-        weight_cfg=WeightLossConfig(
-            weights=_parse_floats(args.weights, "--weights", 4),
-            mode=WeightMode.SUM_PER_CLASS if args.weight_mode == "sum" else WeightMode.COUNT_PER_CLASS,
-        ),
+        weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
         bins=BinEdges(_parse_floats(args.bins, "--bins", 3)),
     )
 
 
-def _make_datasets(args):
+def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
+    """The warm-up/fine-tune sequence of `train` and `compare`.
+
+    Yields (kind, params, history): first (None, ...) for the plain-loss
+    warm-up of --warmup-epochs at --lr from the seed's initialization, then
+    one fine-tune per loss kind, each starting from the warm-up parameters.
+    A DivergenceDetected propagates from the stage that diverged.
+    """
     corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration)
     validation = make_corpus(args.val_size, seed=args.seed + 1000, duration_s=args.duration)
-    return corpus, validation
+
+    def stage(kind, lr, epochs, params):
+        cfg = TrainConfig(
+            loss_kind=kind, learning_rate=lr, epochs=epochs, batch=args.batch, seed=args.seed
+        )
+        return train(cfg, corpus, validation, _train_setup(args, kind), params)
+
+    warm, history = stage(LossKind.PLAIN, args.lr, args.warmup_epochs, init_params(args.seed))
+    yield None, warm, history
+    for kind in kinds:
+        yield (kind, *stage(kind, finetune_lr, finetune_epochs, warm))
 
 
 def _renumber(history, offset):
@@ -294,31 +305,14 @@ def _renumber(history, offset):
 
 def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    loss_kind = LossKind(args.loss)
-    corpus, validation = _make_datasets(args)
-    params = init_params(args.seed)
-    history = []
+    finetune_lr = args.finetune_lr if args.warmup_epochs > 0 else args.lr
+    params, history, offset = None, [], 0
     try:
-        if args.warmup_epochs > 0:
-            cfg = TrainConfig(
-                loss_kind=LossKind.PLAIN,
-                learning_rate=args.lr,
-                epochs=args.warmup_epochs,
-                batch=args.batch,
-                seed=args.seed,
-            )
-            params, history = train(cfg, corpus, validation, _train_setup(args, LossKind.PLAIN), params)
-        cfg = TrainConfig(
-            loss_kind=loss_kind,
-            learning_rate=args.finetune_lr if args.warmup_epochs > 0 else args.lr,
-            epochs=args.epochs,
-            batch=args.batch,
-            seed=args.seed,
-        )
-        params, fine = train(cfg, corpus, validation, _train_setup(args, loss_kind), params)
-        history += _renumber(fine, args.warmup_epochs)
+        for _, params, rows in _training_stages(args, [LossKind(args.loss)], finetune_lr, args.epochs):
+            history += _renumber(rows, offset)
+            offset = args.warmup_epochs
     except DivergenceDetected as exc:
-        history += _renumber(getattr(exc, "history", []), args.warmup_epochs)
+        history += _renumber(getattr(exc, "history", []), offset)
         _write_train_outputs(args, None, history)
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -336,40 +330,22 @@ def _write_train_outputs(args, params, history):
 
 def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    corpus, validation = _make_datasets(args)
-
-    warm_cfg = TrainConfig(
-        loss_kind=LossKind.PLAIN,
-        learning_rate=args.lr,
-        epochs=args.warmup_epochs,
-        batch=args.batch,
-        seed=args.seed,
-    )
-    base_params, _ = train(
-        warm_cfg, corpus, validation, _train_setup(args, LossKind.PLAIN), init_params(args.seed)
-    )
-    warm_path = os.path.join(args.out, "warmup_checkpoint.json")
-    save_checkpoint(warm_path, base_params)
-    with open(warm_path, "rb") as fh:
-        warm_hash = hashlib.sha256(fh.read()).hexdigest()
-
+    kinds = (LossKind.PLAIN, LossKind.SCALE, LossKind.WEIGHT)
     rows = []
     try:
-        for kind in (LossKind.PLAIN, LossKind.SCALE, LossKind.WEIGHT):
-            cfg = TrainConfig(
-                loss_kind=kind,
-                learning_rate=args.finetune_lr,
-                epochs=args.finetune_epochs,
-                batch=args.batch,
-                seed=args.seed,
-            )
-            params, history = train(
-                cfg, corpus, validation, _train_setup(args, kind), base_params
-            )
+        for kind, params, history in _training_stages(
+            args, kinds, args.finetune_lr, args.finetune_epochs
+        ):
+            name = "warmup" if kind is None else kind.value
+            path = os.path.join(args.out, f"{name}_checkpoint.json")
+            save_checkpoint(path, params)
+            if kind is None:
+                with open(path, "rb") as fh:
+                    warm_hash = hashlib.sha256(fh.read()).hexdigest()
+                continue
             final = history[-1]
-            rows.append([kind.value, warm_hash, final.val_sisdri, final.val_rscr])
-            save_checkpoint(os.path.join(args.out, f"{kind.value}_checkpoint.json"), params)
-            with open(os.path.join(args.out, f"{kind.value}_history.csv"), "w") as fh:
+            rows.append([name, warm_hash, final.val_sisdri, final.val_rscr])
+            with open(os.path.join(args.out, f"{name}_history.csv"), "w") as fh:
                 fh.write(history_to_csv(history))
     except DivergenceDetected as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -391,19 +367,13 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: bad config file: {exc}", file=sys.stderr)
         return 2
+    commands = {"eval": cmd_eval, "distribution": cmd_distribution, "train": cmd_train,
+                "compare": cmd_compare}
     try:
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "distribution":
-            return cmd_distribution(args)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "compare":
-            return cmd_compare(args)
+        return commands[args.command](args)
     except (OSError, ValueError, ChunkscError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

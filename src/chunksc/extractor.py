@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -177,28 +177,11 @@ def evaluate_loss(
     if setup.loss_kind is LossKind.PLAIN:
         return loss_sisdr(estimate, example.target, setup.sisdr_cfg)
     chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
+    common = (estimate, example.target, example.mixture, chunks, setup.activity, setup.sisdr_cfg)
     if setup.loss_kind is LossKind.SCALE:
-        return loss_scale_sisdr(
-            estimate,
-            example.target,
-            example.mixture,
-            chunks,
-            setup.activity,
-            setup.sisdr_cfg,
-            setup.scale_cfg,
-            setup.bins,
-        )
+        return loss_scale_sisdr(*common, setup.scale_cfg, setup.bins)
     try:
-        return loss_weight_sisdr(
-            estimate,
-            example.target,
-            example.mixture,
-            chunks,
-            setup.activity,
-            setup.sisdr_cfg,
-            setup.bins,
-            setup.weight_cfg,
-        )
+        return loss_weight_sisdr(*common, setup.bins, setup.weight_cfg)
     except NoValidChunks:
         return loss_sisdr(estimate, example.target, setup.sisdr_cfg)
 
@@ -317,17 +300,7 @@ def train(
     """
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")
-    setup = setup or LossSetup(loss_kind=cfg.loss_kind)
-    if setup.loss_kind is not cfg.loss_kind:
-        setup = LossSetup(
-            loss_kind=cfg.loss_kind,
-            chunking=setup.chunking,
-            activity=setup.activity,
-            sisdr_cfg=setup.sisdr_cfg,
-            scale_cfg=setup.scale_cfg,
-            weight_cfg=setup.weight_cfg,
-            bins=setup.bins,
-        )
+    setup = replace(setup or LossSetup(), loss_kind=cfg.loss_kind)
     params = (start_params or init_params(cfg.seed)).copy()
     history: list[HistoryRow] = []
     if cfg.epochs == 0:

@@ -7,14 +7,18 @@ constants: indicator functions have zero derivative almost everywhere, so
 this is the exact gradient away from branch boundaries. Clamp saturation
 zeroes the gradient rather than propagating a spurious slope.
 
+All three losses take their SI-SDR values and gradients from the metrics
+kernel (`metrics._si_sdr_rows`), and the chunkwise ones use exactly the
+chunks that `r_scr` counts. Each result carries the branch state it was
+computed on (clamp flags, sign, chunk validity, classes), which
+`gradient_check` compares across perturbations.
+
 The confusion ratio enters the scaled loss as a fraction in [0, 1], keeping
 the scaling factor within [gamma1 - gamma2, gamma1 + gamma2].
 
-The weighted loss defaults to SUM_PER_CLASS, where each class contributes
-the sum of its chunkwise improvements; the loss is then a per-chunk weighted
-mean with heavier weight on confused chunks and a well-defined gradient.
-COUNT_PER_CLASS aggregates raw class counts instead; it is piecewise
-constant in the estimate (zero gradient) and exists for diagnostics only.
+In the weighted loss each class contributes the sum of its chunkwise
+improvements; the loss is then a per-chunk weighted mean with heavier weight
+on confused chunks and a well-defined gradient.
 """
 
 from __future__ import annotations
@@ -26,21 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidChunks
-from .metrics import BinEdges, SiSdrConfig, _si_sdr_parts, sc_statistics
+from .metrics import BinEdges, SiSdrConfig, _score_chunks, _utterance_si_sdr, sc_statistics
 from .signal_core import ActivityConfig, ChunkIndex, Waveform
-
-_LN10_OVER_10 = math.log(10.0) / 10.0
 
 
 class LossKind(enum.Enum):
     PLAIN = "plain"
     SCALE = "scale"
     WEIGHT = "weight"
-
-
-class WeightMode(enum.Enum):
-    SUM_PER_CLASS = "sum"
-    COUNT_PER_CLASS = "count"
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class WeightLossConfig:
     """Per-class weights of the weighted loss, non-increasing and positive."""
 
     weights: tuple[float, float, float, float] = (5.0, 5.0, 1.0, 1.0)
-    mode: WeightMode = WeightMode.SUM_PER_CLASS
 
     def __post_init__(self):
         w = self.weights
@@ -70,38 +66,29 @@ class WeightLossConfig:
 
 @dataclass
 class LossResult:
-    """Scalar loss (lower is better) and d loss / d estimate_t."""
+    """Scalar loss (lower is better) and d loss / d estimate_t.
+
+    `branch` is the state of the non-differentiable parts the value was
+    computed on (clamp flags, sign, chunk validity, classes); estimates with
+    equal branches lie on the same smooth piece of the loss.
+    """
 
     value: float
     grad_estimate: np.ndarray
     degenerate: bool = False
-
-
-def _si_sdr_value_grad(estimate: np.ndarray, target: np.ndarray, cfg: SiSdrConfig):
-    """SI-SDR in dB plus its gradient with respect to the estimate.
-
-    The projection coefficient is differentiated through (full derivative).
-    Returns (value, grad, clamped); the gradient is zero when the clamp is
-    active.
-    """
-    value, alpha, projection, residual, num, den, clamped = _si_sdr_parts(
-        estimate, target, cfg
-    )
-    if clamped:
-        return value, np.zeros_like(estimate), True
-    # d num/de = 2*alpha*t, d den/de = 2*(e - alpha*t); the cross term through
-    # alpha in the denominator vanishes because the residual is orthogonal to t.
-    grad = (2.0 * alpha / (num + cfg.eps)) * target - (2.0 / (den + cfg.eps)) * residual
-    grad /= _LN10_OVER_10
-    return value, grad, False
+    branch: tuple = ()
 
 
 def loss_sisdr(
     estimate: Waveform, target: Waveform, cfg: SiSdrConfig = SiSdrConfig()
 ) -> LossResult:
     """Negative SI-SDR with its analytic gradient."""
-    value, grad, _ = _si_sdr_value_grad(estimate.samples, target.samples, cfg)
-    return LossResult(value=-value, grad_estimate=-grad)
+    whole = _utterance_si_sdr(estimate, target, cfg, grad=True)
+    return LossResult(
+        value=-float(whole.value[0]),
+        grad_estimate=-whole.grad[0],
+        branch=(bool(whole.clamped[0]),),
+    )
 
 
 def loss_scale_sisdr(
@@ -121,38 +108,21 @@ def loss_scale_sisdr(
     differentiation; when no chunk is valid, r is taken as 0 and the result
     is flagged degenerate.
     """
-    result, _ = _scale_full(
-        estimate.samples, target, mixture, chunks, activity, sisdr_cfg, scale_cfg, bins
-    )
-    return result
-
-
-def _scale_full(
-    estimate_arr: np.ndarray,
-    target: Waveform,
-    mixture: Waveform,
-    chunks,
-    activity,
-    sisdr_cfg,
-    scale_cfg,
-    bins,
-):
-    estimate = Waveform(estimate_arr, target.sample_rate)
     stats = sc_statistics(estimate, target, mixture, chunks, activity, sisdr_cfg, bins)
     r = 0.0 if stats.degenerate else stats.r_scr / 100.0
-    value, grad, clamped = _si_sdr_value_grad(estimate_arr, target.samples, sisdr_cfg)
+    whole = _utterance_si_sdr(estimate, target, sisdr_cfg, grad=True)
+    value = float(whole.value[0])
     positive = value >= 0.0
     if positive:
         alpha = scale_cfg.gamma1 - scale_cfg.gamma2 * r
     else:
         alpha = scale_cfg.gamma1 + scale_cfg.gamma2 * r
-    result = LossResult(
+    return LossResult(
         value=-alpha * value,
-        grad_estimate=-alpha * grad,
+        grad_estimate=-alpha * whole.grad[0],
         degenerate=stats.degenerate,
+        branch=(bool(whole.clamped[0]), positive, stats.n_valid, stats.n_sc),
     )
-    signature = (clamped, positive, stats.n_valid, stats.n_sc)
-    return result, signature
 
 
 def loss_weight_sisdr(
@@ -165,56 +135,33 @@ def loss_weight_sisdr(
     bins: BinEdges = BinEdges(),
     wcfg: WeightLossConfig = WeightLossConfig(),
 ) -> LossResult:
-    """Class-weighted chunkwise loss -(1/N_valid) * sum_j w_j * s_j."""
-    result, _ = _weight_full(
-        estimate.samples, target, mixture, chunks, activity, sisdr_cfg, bins, wcfg
-    )
-    return result
+    """Class-weighted chunkwise loss -(1/N_valid) * sum_j w_j * s_j.
 
-
-def _weight_full(
-    estimate_arr: np.ndarray,
-    target: Waveform,
-    mixture: Waveform,
-    chunks,
-    activity,
-    sisdr_cfg,
-    bins,
-    wcfg,
-):
-    from .signal_core import is_active
-
-    estimate = Waveform(estimate_arr, target.sample_rate)
-    active = [is_active(target, estimate, idx, activity) for idx in chunks]
-    n_valid = sum(active)
+    Scores the same valid chunks as sc_statistics; raises NoValidChunks when
+    there are none.
+    """
+    scores = _score_chunks(estimate, target, mixture, chunks, activity, sisdr_cfg, grad=True)
+    valid = scores.valid
+    n_valid = int(valid.sum())
     if n_valid == 0:
         raise NoValidChunks("no chunk passed the activity filter")
-
-    grad = np.zeros_like(estimate_arr)
-    value = 0.0
-    sig_classes = []
-    sig_clamps = []
-    for idx, act in zip(chunks, active):
-        if not act:
-            continue
-        e = estimate_arr[idx.start:idx.end]
-        t = target.samples[idx.start:idx.end]
-        y = mixture.samples[idx.start:idx.end]
-        v_t, g_t, cl_t = _si_sdr_value_grad(e, t, sisdr_cfg)
-        v_m, g_m, cl_m = _si_sdr_value_grad(e, y, sisdr_cfg)
-        v = v_t - v_m
-        j = bins.classify(v)
-        sig_classes.append(j)
-        sig_clamps.append((cl_t, cl_m))
-        w = wcfg.weights[j]
-        if wcfg.mode is WeightMode.SUM_PER_CLASS:
-            value += w * v
-            grad[idx.start:idx.end] += -(w / n_valid) * (g_t - g_m)
-        else:
-            value += w
-    result = LossResult(value=-value / n_valid, grad_estimate=grad)
-    signature = (tuple(active), tuple(sig_classes), tuple(sig_clamps))
-    return result, signature
+    values = scores.sisdri[valid]
+    classes = bins.classify(values)
+    weights = np.asarray(wcfg.weights)[classes]
+    coef = np.zeros(valid.size)
+    coef[valid] = -(weights / n_valid)
+    rows = coef[:, None] * (scores.to_target.grad - scores.to_mixture.grad)
+    branch = (
+        tuple(valid.tolist()),
+        tuple(classes.tolist()),
+        tuple(scores.to_target.clamped[valid].tolist()),
+        tuple(scores.to_mixture.clamped[valid].tolist()),
+    )
+    return LossResult(
+        value=-float(np.sum(weights * values)) / n_valid,
+        grad_estimate=scores.grid.overlap_add(rows),
+        branch=branch,
+    )
 
 
 def gradient_check(
@@ -242,31 +189,17 @@ def gradient_check(
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
 
-    def evaluate(arr):
+    def loss_at(samples):
+        est = Waveform(samples, target.sample_rate)
         if loss_kind is LossKind.PLAIN:
-            v, _, clamped = _si_sdr_value_grad(arr, target.samples, sisdr_cfg)
-            return -v, (clamped,)
+            return loss_sisdr(est, target, sisdr_cfg)
+        common = (est, target, mixture, chunks, activity, sisdr_cfg)
         if loss_kind is LossKind.SCALE:
-            res, sig = _scale_full(
-                arr, target, mixture, chunks, activity, sisdr_cfg, scale_cfg, bins
-            )
-            return res.value, sig
-        res, sig = _weight_full(
-            arr, target, mixture, chunks, activity, sisdr_cfg, bins, wcfg
-        )
-        return res.value, sig
+            return loss_scale_sisdr(*common, scale_cfg, bins)
+        return loss_weight_sisdr(*common, bins, wcfg)
 
     base = estimate.samples
-    if loss_kind is LossKind.PLAIN:
-        analytic = loss_sisdr(estimate, target, sisdr_cfg).grad_estimate
-    elif loss_kind is LossKind.SCALE:
-        analytic = loss_scale_sisdr(
-            estimate, target, mixture, chunks, activity, sisdr_cfg, scale_cfg, bins
-        ).grad_estimate
-    else:
-        analytic = loss_weight_sisdr(
-            estimate, target, mixture, chunks, activity, sisdr_cfg, bins, wcfg
-        ).grad_estimate
+    analytic = loss_at(base).grad_estimate
 
     max_rel = 0.0
     for i in range(base.size):
@@ -274,11 +207,11 @@ def gradient_check(
         plus[i] += fd_step
         minus = base.copy()
         minus[i] -= fd_step
-        v_plus, sig_plus = evaluate(plus)
-        v_minus, sig_minus = evaluate(minus)
-        if sig_plus != sig_minus:
+        res_plus = loss_at(plus)
+        res_minus = loss_at(minus)
+        if res_plus.branch != res_minus.branch:
             continue
-        numerical = (v_plus - v_minus) / (2.0 * fd_step)
+        numerical = (res_plus.value - res_minus.value) / (2.0 * fd_step)
         denom = max(abs(analytic[i]), abs(numerical), 1e-8)
         max_rel = max(max_rel, abs(analytic[i] - numerical) / denom)
     return max_rel

@@ -12,16 +12,28 @@ Two improvement conventions coexist deliberately:
 
 The chunkwise confusion ratio r_scr is stored in percent; losses convert it
 to a [0, 1] fraction.
+
+`_si_sdr_rows` is the only place SI-SDR is computed. It scores a (K, L)
+stack of rows at once: zero-copy chunk views of the signals (see
+`signal_core.ChunkGrid`), or the whole utterance as K = 1. The metric
+functions here and the training losses are thin layers over it, and every
+chunk-level caller takes the set of chunks that count from the one
+activity rule, `signal_core.active_mask`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, ZeroTarget
-from .signal_core import ActivityConfig, ChunkIndex, Waveform, is_active
+from .signal_core import ActivityConfig, ChunkGrid, ChunkIndex, Waveform, active_mask
+
+_LN10_OVER_10 = math.log(10.0) / 10.0
+# Rows per pass of the residual are chosen to keep it near this many samples.
+_BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,9 +64,10 @@ class BinEdges:
         if len(self.edges) != 3 or not (self.edges[0] < self.edges[1] < self.edges[2]):
             raise ValueError("edges must be 3 strictly increasing values")
 
-    def classify(self, value: float) -> int:
-        """Class index 0..3 of a chunkwise improvement value."""
-        return int(np.searchsorted(self.edges, value, side="left"))
+    def classify(self, value):
+        """Class index 0..3 of a chunkwise improvement value; element-wise on an array."""
+        classes = np.searchsorted(self.edges, value, side="left")
+        return int(classes) if np.ndim(value) == 0 else classes
 
 
 @dataclass
@@ -70,25 +83,61 @@ class ScStatistics:
     degenerate: bool = False
 
 
-def _si_sdr_parts(estimate: np.ndarray, target: np.ndarray, cfg: SiSdrConfig):
-    """Shared core: returns (value_db_clamped, alpha, projection, residual,
-    num, den, clamped_flag)."""
-    if estimate.size != target.size:
-        raise LengthMismatch(
-            f"estimate has {estimate.size} samples, target has {target.size}"
-        )
-    target_energy = float(np.dot(target, target))
-    if target_energy < cfg.eps:
-        raise ZeroTarget("target signal has zero energy")
-    alpha = float(np.dot(estimate, target)) / target_energy
-    projection = alpha * target
-    residual = estimate - projection
-    num = float(np.dot(projection, projection))
-    den = float(np.dot(residual, residual))
+@dataclass(frozen=True)
+class _Rows:
+    """Kernel output, one entry per row."""
+
+    value: np.ndarray  # clamped SI-SDR in dB; NaN where the reference is silent
+    clamped: np.ndarray  # |SI-SDR| reached clamp_db
+    ref_energy: np.ndarray  # sum of squares of the reference row
+    grad: np.ndarray | None  # d value / d estimate row; zero on clamped or silent rows
+
+
+def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool = False) -> _Rows:
+    """SI-SDR of every estimate row against the matching reference row.
+
+    alpha = <e,t>/||t||^2 and the value is 10*log10(||alpha t||^2 /
+    ||e - alpha t||^2), clamped to +-clamp_db. Projection and residual are
+    formed explicitly, in blocks of rows, so the dot products are those of
+    the textbook formula. With grad, also returns d value / d e per row: the
+    projection coefficient is differentiated through, and the gradient is
+    zero where the clamp is active.
+    """
+    ref_energy = np.vecdot(ref, ref)
+    silent = ref_energy < cfg.eps
+    alpha = np.vecdot(est, ref) / np.where(silent, 1.0, ref_energy)
+    num, den = np.empty_like(alpha), np.empty_like(alpha)
+    residual = np.empty(est.shape) if grad else None
+    step = max(1, _BLOCK_SAMPLES // est.shape[1])
+    for lo in range(0, est.shape[0], step):
+        rows = slice(lo, lo + step)
+        projection = alpha[rows, None] * ref[rows]
+        r = est[rows] - projection
+        num[rows] = np.vecdot(projection, projection)
+        den[rows] = np.vecdot(r, r)
+        if grad:
+            residual[rows] = r
     raw = 10.0 * np.log10((num + cfg.eps) / (den + cfg.eps))
-    clamped = abs(raw) >= cfg.clamp_db
-    value = float(np.clip(raw, -cfg.clamp_db, cfg.clamp_db))
-    return value, alpha, projection, residual, num, den, clamped
+    clamped = np.abs(raw) >= cfg.clamp_db
+    value = np.where(silent, np.nan, np.clip(raw, -cfg.clamp_db, cfg.clamp_db))
+    g = None
+    if grad:
+        # d num/de = 2*alpha*t, d den/de = 2*(e - alpha*t); the cross term through
+        # alpha in the denominator vanishes because the residual is orthogonal to t.
+        g = (2.0 * alpha / (num + cfg.eps))[:, None] * ref - (2.0 / (den + cfg.eps))[:, None] * residual
+        g /= _LN10_OVER_10
+        g[clamped | silent] = 0.0
+    return _Rows(value, clamped, ref_energy, g)
+
+
+def _utterance_si_sdr(estimate: Waveform, target: Waveform, cfg: SiSdrConfig, grad: bool = False) -> _Rows:
+    """The kernel on the whole utterance as a single row."""
+    if len(estimate) != len(target):
+        raise LengthMismatch(f"estimate has {len(estimate)} samples, target has {len(target)}")
+    rows = _si_sdr_rows(estimate.samples[None], target.samples[None], cfg, grad)
+    if rows.ref_energy[0] < cfg.eps:
+        raise ZeroTarget("target signal has zero energy")
+    return rows
 
 
 def si_sdr(estimate: Waveform, target: Waveform, cfg: SiSdrConfig = SiSdrConfig()) -> float:
@@ -97,8 +146,7 @@ def si_sdr(estimate: Waveform, target: Waveform, cfg: SiSdrConfig = SiSdrConfig(
     Uses the optimal-scaling projection alpha = <e,t>/||t||^2 and returns
     10*log10(||alpha t||^2 / ||alpha t - e||^2), clamped to +-clamp_db.
     """
-    value, *_ = _si_sdr_parts(estimate.samples, target.samples, cfg)
-    return value
+    return float(_utterance_si_sdr(estimate, target, cfg).value[0])
 
 
 def si_sdr_improvement(
@@ -111,6 +159,38 @@ def si_sdr_improvement(
     return si_sdr(estimate, target, cfg) - si_sdr(mixture, target, cfg)
 
 
+@dataclass(frozen=True)
+class _ChunkScores:
+    """Kernel output for every chunk of one utterance."""
+
+    grid: ChunkGrid
+    sisdri: np.ndarray  # SI-SDR(e_k, t_k) - SI-SDR(e_k, y_k); NaN if t_k or y_k is silent
+    valid: np.ndarray  # the chunks that count, from the activity rule
+    to_target: _Rows
+    to_mixture: _Rows
+
+
+def _score_chunks(
+    estimate: Waveform,
+    target: Waveform,
+    mixture: Waveform,
+    chunks: list[ChunkIndex],
+    activity: ActivityConfig,
+    cfg: SiSdrConfig,
+    grad: bool = False,
+) -> _ChunkScores:
+    if not (len(estimate) == len(target) == len(mixture)):
+        raise LengthMismatch("estimate, target and mixture must share length")
+    grid = ChunkGrid.of(chunks, len(estimate))
+    e, t, y = (grid.rows(w.samples) for w in (estimate, target, mixture))
+    to_target = _si_sdr_rows(e, t, cfg, grad)
+    to_mixture = _si_sdr_rows(e, y, cfg, grad)
+    valid = active_mask(
+        to_target.ref_energy, np.vecdot(e, e), activity, to_mixture.ref_energy, cfg.eps
+    )
+    return _ChunkScores(grid, to_target.value - to_mixture.value, valid, to_target, to_mixture)
+
+
 def chunkwise_sisdri(
     estimate: Waveform,
     target: Waveform,
@@ -121,22 +201,10 @@ def chunkwise_sisdri(
     """Per-chunk SI-SDR(e_k, t_k) - SI-SDR(e_k, y_k), one value per chunk.
 
     Chunks whose target or mixture slice is numerically silent get a NaN
-    sentinel; callers filter those through the activity test.
+    sentinel; callers filter those through the activity test. `chunks` must
+    be laid out as make_chunks returns them.
     """
-    if not (len(estimate) == len(target) == len(mixture)):
-        raise LengthMismatch("estimate, target and mixture must share length")
-    out = np.empty(len(chunks))
-    for k, idx in enumerate(chunks):
-        e = estimate.samples[idx.start:idx.end]
-        t = target.samples[idx.start:idx.end]
-        y = mixture.samples[idx.start:idx.end]
-        if np.dot(t, t) < cfg.eps or np.dot(y, y) < cfg.eps:
-            out[k] = np.nan
-            continue
-        v_target, *_ = _si_sdr_parts(e, t, cfg)
-        v_mix, *_ = _si_sdr_parts(e, y, cfg)
-        out[k] = v_target - v_mix
-    return out
+    return _score_chunks(estimate, target, mixture, chunks, ActivityConfig(), cfg).sisdri
 
 
 def sc_statistics(
@@ -151,40 +219,24 @@ def sc_statistics(
     """Chunkwise SC bookkeeping over the speech-active chunks.
 
     N_sc counts valid chunks with negative improvement, N_valid counts chunks
-    where both target and estimate pass the energy threshold, and
-    r_scr = 100 * N_sc / N_valid. Also fills the 4-class frequency vector and
-    the per-class sum of chunkwise improvements.
+    where both target and estimate pass the energy threshold (and neither
+    target nor mixture is silent), and r_scr = 100 * N_sc / N_valid. Also
+    fills the 4-class frequency vector and the per-class sum of chunkwise
+    improvements.
     """
-    values = chunkwise_sisdri(estimate, target, mixture, chunks, cfg)
-    active = [is_active(target, estimate, idx, activity) for idx in chunks]
-    valid = np.array(
-        [v for v, a in zip(values, active) if a and not np.isnan(v)]
-    )
+    scores = _score_chunks(estimate, target, mixture, chunks, activity, cfg)
+    valid = scores.sisdri[scores.valid]
     n_valid = valid.size
-    if n_valid == 0:
-        return ScStatistics(
-            chunk_sisdri=valid,
-            n_sc=0,
-            n_valid=0,
-            r_scr=0.0,
-            class_freq=(0, 0, 0, 0),
-            class_sum=(0.0, 0.0, 0.0, 0.0),
-            degenerate=True,
-        )
     n_sc = int(np.sum(valid < 0.0))
-    freq = [0, 0, 0, 0]
-    sums = [0.0, 0.0, 0.0, 0.0]
-    for v in valid:
-        j = bins.classify(float(v))
-        freq[j] += 1
-        sums[j] += float(v)
+    classes = bins.classify(valid)
     return ScStatistics(
         chunk_sisdri=valid,
         n_sc=n_sc,
         n_valid=n_valid,
-        r_scr=100.0 * n_sc / n_valid,
-        class_freq=tuple(freq),
-        class_sum=tuple(sums),
+        r_scr=100.0 * n_sc / n_valid if n_valid else 0.0,
+        class_freq=tuple(int(x) for x in np.bincount(classes, minlength=4)),
+        class_sum=tuple(float(x) for x in np.bincount(classes, weights=valid, minlength=4)),
+        degenerate=n_valid == 0,
     )
 
 
@@ -203,19 +255,11 @@ def distribution_report(stats: list[ScStatistics]) -> DistributionReport:
     """Element-wise sum of class frequencies across utterances."""
     if not stats:
         raise EmptyInput("distribution_report needs at least one utterance")
-    freq = np.zeros(4, dtype=int)
-    sums = np.zeros(4)
-    n_valid = 0
-    n_sc = 0
-    for s in stats:
-        freq += np.asarray(s.class_freq, dtype=int)
-        sums += np.asarray(s.class_sum)
-        n_valid += s.n_valid
-        n_sc += s.n_sc
+    freq = np.sum([s.class_freq for s in stats], axis=0, dtype=int)
     return DistributionReport(
         class_freq=tuple(int(x) for x in freq),
-        class_sum=tuple(float(x) for x in sums),
+        class_sum=tuple(float(x) for x in np.sum([s.class_sum for s in stats], axis=0)),
         sc_class_freq=(int(freq[0]), int(freq[1])),
-        n_valid=n_valid,
-        n_sc=n_sc,
+        n_valid=sum(s.n_valid for s in stats),
+        n_sc=sum(s.n_sc for s in stats),
     )

@@ -1,8 +1,10 @@
-"""Waveforms, chunk segmentation and chunk activity detection.
+"""Waveforms, chunk segmentation, chunk rows and chunk activity detection.
 
 Chunk energy is measured as 10*log10(sum(x^2) + ENERGY_FLOOR) in dB. The
 activity threshold (default 15 dB) is compared against this quantity; the
-floor constant keeps all-zero chunks finite.
+floor constant keeps all-zero chunks finite. `active_mask` is the single
+activity rule: the public per-chunk `is_active` and the metric and loss
+kernels all decide through it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChunkLenExceedsSignal, InvalidHop, LengthMismatch
 
@@ -123,21 +126,98 @@ def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> list[C
     ]
 
 
-def chunk_energy_db(w: Waveform, idx: ChunkIndex) -> float:
-    """Chunk energy 10*log10(sum(x^2) + ENERGY_FLOOR) in dB."""
+@dataclass(frozen=True)
+class ChunkGrid:
+    """A chunk list in make_chunks's layout: `count` chunks of `length`
+    samples whose starts advance by `hop` from `first`, the last one cut off
+    at the end of an `n_samples` signal."""
+
+    first: int
+    hop: int
+    length: int
+    count: int
+    n_samples: int
+
+    @classmethod
+    def of(cls, chunks: list[ChunkIndex], n_samples: int) -> "ChunkGrid":
+        if not chunks:
+            raise ValueError("chunk list is empty")
+        starts = np.array([c.start for c in chunks])
+        ends = np.array([c.end for c in chunks])
+        hop = int(starts[1] - starts[0]) if len(chunks) > 1 else 1
+        grid = cls(int(starts[0]), hop, int(ends[0] - starts[0]), len(chunks), n_samples)
+        want = grid.starts()
+        if hop < 1 or not (
+            np.array_equal(starts, want)
+            and np.array_equal(ends, np.minimum(want + grid.length, n_samples))
+        ):
+            raise ValueError(
+                "chunks must be equally spaced, of equal length and cut off only at the signal end"
+            )
+        return grid
+
+    def starts(self) -> np.ndarray:
+        return self.first + self.hop * np.arange(self.count)
+
+    def _span(self) -> int:
+        return self.first + (self.count - 1) * self.hop + self.length
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """(count, length) strided view of x, one row per chunk.
+
+        A cut-off last chunk is zero-padded to full length, which is exact
+        for every dot product and energy; only then is x copied.
+        """
+        span = self._span()
+        if span > x.size:
+            x = np.concatenate([x, np.zeros(span - x.size)])
+        return sliding_window_view(x[self.first:span], self.length)[:: self.hop]
+
+    def overlap_add(self, rows: np.ndarray) -> np.ndarray:
+        """Inverse of `rows` for gradients: add every row back onto its
+        samples, in chunk order, and drop the padding."""
+        index = self.starts()[:, None] + np.arange(self.length)
+        summed = np.bincount(index.ravel(), weights=rows.ravel(), minlength=self._span())
+        return summed[: self.n_samples]
+
+
+def energy_db(energy):
+    """Energy 10*log10(energy + ENERGY_FLOOR) in dB, element-wise on sums of squares."""
+    return 10.0 * np.log10(np.asarray(energy, dtype=np.float64) + ENERGY_FLOOR)
+
+
+def active_mask(target_energy, estimate_energy, cfg: ActivityConfig, mixture_energy=None, silent_energy=0.0):
+    """The chunk-activity rule, element-wise on per-chunk energies (sums of squares).
+
+    A chunk counts when the target and the estimate both exceed eta_db and
+    neither the target nor the mixture (when given) is below silent_energy,
+    against which SI-SDR is undefined. A NaN energy never counts.
+    """
+    target_energy = np.asarray(target_energy, dtype=np.float64)
+    mask = (
+        (energy_db(target_energy) > cfg.eta_db)
+        & (energy_db(estimate_energy) > cfg.eta_db)
+        & (target_energy >= silent_energy)
+    )
+    if mixture_energy is not None:
+        mask &= np.asarray(mixture_energy) >= silent_energy
+    return mask
+
+
+def _chunk_energy(w: Waveform, idx: ChunkIndex) -> float:
     if idx.end > len(w):
         raise ValueError("chunk index out of bounds")
     x = w.samples[idx.start:idx.end]
-    return 10.0 * math.log10(float(np.dot(x, x)) + ENERGY_FLOOR)
+    return np.dot(x, x)
+
+
+def chunk_energy_db(w: Waveform, idx: ChunkIndex) -> float:
+    """Chunk energy 10*log10(sum(x^2) + ENERGY_FLOOR) in dB."""
+    return float(energy_db(_chunk_energy(w, idx)))
 
 
 def is_active(ws: Waveform, we: Waveform, idx: ChunkIndex, cfg: ActivityConfig) -> bool:
     """True iff both waveforms exceed the energy threshold on this chunk."""
     if len(ws) != len(we):
-        raise LengthMismatch(
-            f"waveforms differ in length: {len(ws)} vs {len(we)}"
-        )
-    return (
-        chunk_energy_db(ws, idx) > cfg.eta_db
-        and chunk_energy_db(we, idx) > cfg.eta_db
-    )
+        raise LengthMismatch(f"waveforms differ in length: {len(ws)} vs {len(we)}")
+    return bool(active_mask(_chunk_energy(ws, idx), _chunk_energy(we, idx), cfg))

@@ -8,7 +8,6 @@ from chunksc import (
     ScaleLossConfig,
     Waveform,
     WeightLossConfig,
-    WeightMode,
     gradient_check,
     loss_scale_sisdr,
     loss_sisdr,
@@ -230,17 +229,6 @@ class TestLossWeightSisdr:
             assert res.value == pytest.approx(
                 -float(np.mean(stats.chunk_sisdri)), abs=1e-12
             )
-
-    def test_count_mode_matches_oracle_with_zero_grad(self):
-        wcfg = WeightLossConfig(mode=WeightMode.COUNT_PER_CLASS)
-        e, t, m, chunks = random_instance(7)
-        stats = sc_statistics(e, t, m, chunks)
-        res = loss_weight_sisdr(e, t, m, chunks, wcfg=wcfg)
-        want = WeightOracle.value(
-            list(stats.chunk_sisdri), (5.0, 5.0, 1.0, 1.0), count_mode=True
-        )
-        assert res.value == pytest.approx(want, abs=1e-9)
-        assert np.all(res.grad_estimate == 0.0)
 
     def test_weight_monotonicity(self):
         # Raising the weight of the worst class cannot reduce the loss while
