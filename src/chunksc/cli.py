@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,21 +45,9 @@ from .wav_io import read_wav
 def _add_metric_flags(p: argparse.ArgumentParser):
     p.add_argument("--chunk-ms", type=float, default=250.0, help="chunk length in ms")
     p.add_argument("--hop-ms", type=float, default=125.0, help="training-mode hop in ms")
-    p.add_argument(
-        "--eval-hop",
-        choices=["overlap", "none"],
-        default="none",
-        help="chunk hop for evaluation: overlapping or non-overlapping",
-    )
     p.add_argument("--eta", type=float, default=15.0, help="chunk activity threshold in dB")
     p.add_argument("--clamp-db", type=float, default=60.0, help="symmetric SI-SDR clamp in dB")
     p.add_argument("--bins", default="-5,0,5", help="class bin edges e1,e2,e3 in dB")
-
-
-def _add_loss_flags(p: argparse.ArgumentParser):
-    p.add_argument("--gamma1", type=float, default=1.0)
-    p.add_argument("--gamma2", type=float, default=1.0)
-    p.add_argument("--weights", default="5,5,1,1", help="class weights w0,w1,w2,w3")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -71,6 +60,10 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--val-size", type=int, default=50)
     p.add_argument("--duration", type=float, default=2.0, help="utterance length in seconds")
     p.add_argument("--out", required=True, help="output directory")
+    _add_metric_flags(p)
+    p.add_argument("--gamma1", type=float, default=1.0)
+    p.add_argument("--gamma2", type=float, default=1.0)
+    p.add_argument("--weights", default="5,5,1,1", help="class weights w0,w1,w2,w3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,17 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with flag defaults", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate a manifest of (estimate, target, mixture) WAV triples")
-    p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--out", required=True, help="report path (.csv or .json)")
-    p_eval.add_argument("--format", choices=["csv", "json"], default=None)
-    _add_metric_flags(p_eval)
-
-    p_dist = sub.add_parser("distribution", help="aggregate 4-class chunk distribution over a manifest")
-    p_dist.add_argument("--manifest", required=True)
-    p_dist.add_argument("--out", required=True)
-    p_dist.add_argument("--format", choices=["csv", "json"], default=None)
-    _add_metric_flags(p_dist)
+    for name, text in (
+        ("eval", "evaluate a manifest of (estimate, target, mixture) WAV triples"),
+        ("distribution", "aggregate 4-class chunk distribution over a manifest"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--out", required=True, help="report path (.csv or .json)")
+        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p.add_argument("--eval-hop", choices=["overlap", "none"], default="none",
+                       help="chunk hop for evaluation: overlapping or non-overlapping")
+        _add_metric_flags(p)
 
     p_train = sub.add_parser("train", help="train the toy extractor on synthetic mixtures")
     p_train.add_argument("--loss", choices=["plain", "scale", "weight"], default="plain")
@@ -99,16 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--warmup-epochs", type=int, default=0,
                          help="plain-loss warm-up epochs before the configured loss")
     _add_train_flags(p_train)
-    _add_metric_flags(p_train)
-    _add_loss_flags(p_train)
 
     p_cmp = sub.add_parser("compare", help="one warm-up, three fine-tunes (plain/scale/weight)")
     p_cmp.add_argument("--warmup-epochs", type=int, default=20,
                        help="plain-loss warm-up epochs shared by all fine-tunes")
     p_cmp.add_argument("--finetune-epochs", type=int, default=10)
     _add_train_flags(p_cmp)
-    _add_metric_flags(p_cmp)
-    _add_loss_flags(p_cmp)
     return parser
 
 
@@ -117,18 +106,27 @@ def parse_args(argv) -> argparse.Namespace:
     # Two-pass parse so a config file can supply defaults below the flags.
     pre, _ = parser.parse_known_args(argv)
     if pre.config:
-        with open(pre.config) as fh:
-            overrides = json.load(fh)
-        overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
         # Config-file overrides must be applied per subparser: a subcommand's
         # own defaults overwrite anything set on the top-level namespace.
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        for sub in [parser, *commands.choices.values()]:
+        parsers = [parser, *commands.choices.values()]
+        overrides = _read_config(pre.config, {a.dest for sub in parsers for a in sub._actions})
+        for sub in parsers:
             dests = {a.dest for a in sub._actions}
-            applicable = {k: v for k, v in overrides.items() if k in dests}
-            if applicable:
-                sub.set_defaults(**applicable)
+            sub.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
     return parser.parse_args(argv)
+
+
+def _read_config(path: str, dests: set[str]) -> dict:
+    """Flag defaults from a JSON object; every key must name a flag of some subcommand."""
+    with open(path) as fh:
+        overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{path}: expected a JSON object of flag defaults")
+    unknown = [k for k in overrides if k.replace("-", "_") not in dests]
+    if unknown:
+        raise ValueError(f"{path}: no flag matches key(s) {', '.join(unknown)}")
+    return {k.replace("-", "_"): v for k, v in overrides.items()}
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -142,13 +140,15 @@ def _parse_floats(text: str, name: str, n: int) -> tuple[float, ...]:
     return tuple(parts)
 
 
-def _metric_configs(args):
-    mode = ChunkMode.TRAINING if args.eval_hop == "overlap" else ChunkMode.INFERENCE
-    chunking = ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=args.hop_ms, mode=mode)
-    activity = ActivityConfig(eta_db=args.eta)
-    sisdr_cfg = SiSdrConfig(clamp_db=args.clamp_db)
-    bins = BinEdges(_parse_floats(args.bins, "--bins", 3))
-    return chunking, activity, sisdr_cfg, bins
+def _loss_setup(args, mode: ChunkMode) -> LossSetup:
+    """The scoring settings every subcommand shares: chunking in `mode`, the
+    activity gate, the clamp and the class bins."""
+    return LossSetup(
+        chunking=ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=args.hop_ms, mode=mode),
+        activity=ActivityConfig(eta_db=args.eta),
+        sisdr_cfg=SiSdrConfig(clamp_db=args.clamp_db),
+        bins=BinEdges(_parse_floats(args.bins, "--bins", 3)),
+    )
 
 
 def _read_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -178,19 +178,22 @@ def _load_triple(row, row_num):
 
 
 def _evaluate_manifest(args):
-    chunking, activity, sisdr_cfg, bins = _metric_configs(args)
+    mode = ChunkMode.TRAINING if args.eval_hop == "overlap" else ChunkMode.INFERENCE
+    setup = _loss_setup(args, mode)
     rows = _read_manifest(args.manifest)
     report = []
     for n, row in enumerate(rows, start=1):
         try:
             est, tgt, mix = _load_triple(row, n)
-            chunks = make_chunks(len(est), chunking, est.sample_rate)
-            stats = sc_statistics(est, tgt, mix, chunks, activity, sisdr_cfg, bins)
+            chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
+            stats = sc_statistics(
+                est, tgt, mix, chunks, setup.activity, setup.sisdr_cfg, setup.bins
+            )
             report.append(
                 {
                     "id": os.path.splitext(os.path.basename(row[0]))[0],
-                    "si_sdr": si_sdr(est, tgt, sisdr_cfg),
-                    "si_sdri": si_sdr_improvement(est, tgt, mix, sisdr_cfg),
+                    "si_sdr": si_sdr(est, tgt, setup.sisdr_cfg),
+                    "si_sdri": si_sdr_improvement(est, tgt, mix, setup.sisdr_cfg),
                     "stats": stats,
                 }
             )
@@ -236,17 +239,13 @@ def cmd_eval(args) -> int:
     report = _evaluate_manifest(args)
     columns = ["id", "si_sdr", "si_sdri", "r_scr", "s0", "s1", "s2", "s3", "degenerate"]
     rows = []
-    n_sc = n_valid = 0
     for r in report:
         s = r["stats"]
         rows.append(
             [r["id"], r["si_sdr"], r["si_sdri"], s.r_scr, *s.class_freq, int(s.degenerate)]
         )
-        n_sc += s.n_sc
-        n_valid += s.n_valid
     mean_sisdri = float(np.mean([r["si_sdri"] for r in report]))
-    # Corpus r_scr pools counts across utterances (not a mean of ratios).
-    pooled_rscr = 100.0 * n_sc / n_valid if n_valid else 0.0
+    pooled_rscr = distribution_report([r["stats"] for r in report]).r_scr
     summary = ["summary", float("nan"), mean_sisdri, pooled_rscr, "", "", "", "", ""]
     _write_report(args.out, args.format, _effective_config(args), columns, rows, summary)
     return 0
@@ -261,19 +260,6 @@ def cmd_distribution(args) -> int:
     return 0
 
 
-def _train_setup(args, loss_kind: LossKind) -> LossSetup:
-    chunking = ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=args.hop_ms)
-    return LossSetup(
-        loss_kind=loss_kind,
-        chunking=chunking,
-        activity=ActivityConfig(eta_db=args.eta),
-        sisdr_cfg=SiSdrConfig(clamp_db=args.clamp_db),
-        scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
-        weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
-        bins=BinEdges(_parse_floats(args.bins, "--bins", 3)),
-    )
-
-
 def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     """The warm-up/fine-tune sequence of `train` and `compare`.
 
@@ -282,14 +268,17 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     one fine-tune per loss kind, each starting from the warm-up parameters.
     A DivergenceDetected propagates from the stage that diverged.
     """
+    setup = replace(
+        _loss_setup(args, ChunkMode.TRAINING),
+        scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
+        weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
+    )
     corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration)
     validation = make_corpus(args.val_size, seed=args.seed + 1000, duration_s=args.duration)
 
     def stage(kind, lr, epochs, params):
-        cfg = TrainConfig(
-            loss_kind=kind, learning_rate=lr, epochs=epochs, batch=args.batch, seed=args.seed
-        )
-        return train(cfg, corpus, validation, _train_setup(args, kind), params)
+        cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch=args.batch, seed=args.seed)
+        return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params)
 
     warm, history = stage(LossKind.PLAIN, args.lr, args.warmup_epochs, init_params(args.seed))
     yield None, warm, history
@@ -312,7 +301,7 @@ def cmd_train(args) -> int:
             history += _renumber(rows, offset)
             offset = args.warmup_epochs
     except DivergenceDetected as exc:
-        history += _renumber(getattr(exc, "history", []), offset)
+        history += _renumber(exc.history, offset)
         _write_train_outputs(args, None, history)
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -329,6 +318,8 @@ def _write_train_outputs(args, params, history):
 
 
 def cmd_compare(args) -> int:
+    if args.finetune_epochs < 1:
+        raise ValueError("--finetune-epochs must be at least 1: each loss reports its last epoch")
     os.makedirs(args.out, exist_ok=True)
     kinds = (LossKind.PLAIN, LossKind.SCALE, LossKind.WEIGHT)
     rows = []
@@ -351,20 +342,15 @@ def cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     columns = ["loss", "warmup_sha256", "final_val_sisdri", "final_val_rscr"]
-    _write_report(
-        os.path.join(args.out, "comparison.csv"),
-        "csv",
-        _effective_config(args),
-        columns,
-        rows,
-    )
+    path = os.path.join(args.out, "comparison.csv")
+    _write_report(path, "csv", _effective_config(args), columns, rows)
     return 0
 
 
 def main(argv=None) -> int:
     try:
         args = parse_args(argv if argv is not None else sys.argv[1:])
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad config file: {exc}", file=sys.stderr)
         return 2
     commands = {"eval": cmd_eval, "distribution": cmd_distribution, "train": cmd_train,

@@ -34,7 +34,11 @@ class DimensionMismatch(ChunkscError):
 
 
 class DivergenceDetected(ChunkscError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite; `history` holds the completed epochs."""
+
+    def __init__(self, message: str, history: list):
+        super().__init__(message)
+        self.history = history
 
 
 class EmptyInput(ChunkscError):

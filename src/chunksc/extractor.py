@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -31,7 +31,7 @@ from .losses import (
     loss_sisdr,
     loss_weight_sisdr,
 )
-from .metrics import BinEdges, SiSdrConfig, sc_statistics, si_sdr_improvement
+from .metrics import BinEdges, SiSdrConfig, distribution_report, sc_statistics, si_sdr_improvement
 from .signal_core import ActivityConfig, ChunkingConfig, ChunkMode, Waveform, make_chunks
 from .synth import MixtureExample
 
@@ -154,7 +154,8 @@ def forward(p: ToyExtractorParams, mixture: Waveform, enrollment: Waveform) -> W
 
 @dataclass(frozen=True)
 class LossSetup:
-    """Everything needed to evaluate one of the three losses in training."""
+    """Every scoring and loss setting: which loss to train, and the chunking,
+    activity gate, clamp and class bins it shares with the r_scr metric."""
 
     loss_kind: LossKind = LossKind.PLAIN
     chunking: ChunkingConfig = ChunkingConfig()
@@ -235,7 +236,6 @@ def backward(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss_kind: LossKind = LossKind.PLAIN
     learning_rate: float = 0.05
     epochs: int = 20
     batch: int = 8
@@ -271,19 +271,17 @@ def evaluate_corpus(
         chunk_len_ms=setup.chunking.chunk_len_ms, mode=ChunkMode.INFERENCE
     )
     sisdri_sum = 0.0
-    n_sc = 0
-    n_valid = 0
+    stats = []
     for ex in corpus:
         est = forward(p, ex.mixture, ex.enrollment)
         sisdri_sum += si_sdr_improvement(est, ex.target, ex.mixture, setup.sisdr_cfg)
         chunks = make_chunks(len(est), eval_chunking, est.sample_rate)
-        stats = sc_statistics(
-            est, ex.target, ex.mixture, chunks, setup.activity, setup.sisdr_cfg, setup.bins
+        stats.append(
+            sc_statistics(
+                est, ex.target, ex.mixture, chunks, setup.activity, setup.sisdr_cfg, setup.bins
+            )
         )
-        n_sc += stats.n_sc
-        n_valid += stats.n_valid
-    rscr = 100.0 * n_sc / n_valid if n_valid else 0.0
-    return sisdri_sum / len(corpus), rscr
+    return sisdri_sum / len(corpus), distribution_report(stats).r_scr
 
 
 def train(
@@ -300,7 +298,7 @@ def train(
     """
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")
-    setup = replace(setup or LossSetup(), loss_kind=cfg.loss_kind)
+    setup = setup or LossSetup()
     params = (start_params or init_params(cfg.seed)).copy()
     history: list[HistoryRow] = []
     if cfg.epochs == 0:
@@ -324,11 +322,9 @@ def train(
             for i in batch:
                 grads, result = backward(params, corpus[i], setup)
                 if not math.isfinite(result.value):
-                    err = DivergenceDetected(
-                        f"non-finite loss at epoch {epoch}, example {i}"
+                    raise DivergenceDetected(
+                        f"non-finite loss at epoch {epoch}, example {i}", history
                     )
-                    err.history = history  # completed epochs only
-                    raise err
                 losses.append(result.value)
                 if acc is None:
                     acc = grads

@@ -207,6 +207,11 @@ def chunkwise_sisdri(
     return _score_chunks(estimate, target, mixture, chunks, ActivityConfig(), cfg).sisdri
 
 
+def _confusion_ratio(n_sc: int, n_valid: int) -> float:
+    """r_scr in percent: 100 * N_sc / N_valid, or 0 when no chunk is valid."""
+    return 100.0 * n_sc / n_valid if n_valid else 0.0
+
+
 def sc_statistics(
     estimate: Waveform,
     target: Waveform,
@@ -233,7 +238,7 @@ def sc_statistics(
         chunk_sisdri=valid,
         n_sc=n_sc,
         n_valid=n_valid,
-        r_scr=100.0 * n_sc / n_valid if n_valid else 0.0,
+        r_scr=_confusion_ratio(n_sc, n_valid),
         class_freq=tuple(int(x) for x in np.bincount(classes, minlength=4)),
         class_sum=tuple(float(x) for x in np.bincount(classes, weights=valid, minlength=4)),
         degenerate=n_valid == 0,
@@ -249,17 +254,21 @@ class DistributionReport:
     sc_class_freq: tuple[int, int]  # the two negative classes only
     n_valid: int
     n_sc: int
+    r_scr: float  # pooled counts in percent, not a mean of per-utterance ratios
 
 
 def distribution_report(stats: list[ScStatistics]) -> DistributionReport:
-    """Element-wise sum of class frequencies across utterances."""
+    """Element-wise sum of class frequencies across utterances, and the pooled r_scr."""
     if not stats:
         raise EmptyInput("distribution_report needs at least one utterance")
     freq = np.sum([s.class_freq for s in stats], axis=0, dtype=int)
+    n_valid = sum(s.n_valid for s in stats)
+    n_sc = sum(s.n_sc for s in stats)
     return DistributionReport(
         class_freq=tuple(int(x) for x in freq),
         class_sum=tuple(float(x) for x in np.sum([s.class_sum for s in stats], axis=0)),
         sc_class_freq=(int(freq[0]), int(freq[1])),
-        n_valid=sum(s.n_valid for s in stats),
-        n_sc=sum(s.n_sc for s in stats),
+        n_valid=n_valid,
+        n_sc=n_sc,
+        r_scr=_confusion_ratio(n_sc, n_valid),
     )

@@ -140,6 +140,58 @@ class TestConfigPrecedence:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["epoch", "weight-mode"])
+    def test_config_key_matching_no_flag_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), *train_args(str(out))]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["--config", str(tmp_path / "absent.json"), *train_args(str(out))]) == 2
+        assert "absent.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), *train_args(str(out))]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_of_another_subcommand_is_accepted(self, tmp_path, corpus):
+        # a config file shared by eval and train may carry training-only keys
+        manifest = manifest_for(tmp_path, corpus, "target")
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({"lr": 0.1, "clamp_db": 45.0}))
+        out = str(tmp_path / "r.csv")
+        assert main(["--config", str(cfg), "eval", "--manifest", manifest, "--out", out]) == 0
+        _, rows = read_report_csv(out)
+        assert float(rows[0][1]) == pytest.approx(45.0)
+
+
+class TestEvalHop:
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_training_commands_reject_it(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--eval-hop", "overlap", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--eval-hop" in capsys.readouterr().err
+
+    def test_overlap_scores_more_chunks_in_eval(self, tmp_path, corpus):
+        manifest = manifest_for(tmp_path, corpus, "target")
+        n_chunks = {}
+        for hop in ("none", "overlap"):
+            out = str(tmp_path / f"{hop}.csv")
+            assert main(["eval", "--manifest", manifest, "--out", out, "--eval-hop", hop]) == 0
+            _, rows = read_report_csv(out)
+            n_chunks[hop] = sum(int(v) for row in rows[:-1] for v in row[4:8])
+        assert n_chunks["overlap"] > n_chunks["none"] > 0
+
 
 def train_args(out, extra=()):
     return [
@@ -194,3 +246,13 @@ class TestCompare:
         for kind in ("plain", "scale", "weight"):
             assert (out / f"{kind}_checkpoint.json").exists()
             assert (out / f"{kind}_history.csv").exists()
+
+    def test_zero_finetune_epochs_exits_2_before_training(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = main(
+            ["compare", "--warmup-epochs", "1", "--finetune-epochs", "0",
+             "--train-size", "4", "--val-size", "2", "--out", str(out)]
+        )
+        assert code == 2
+        assert "--finetune-epochs" in capsys.readouterr().err
+        assert not (out / "warmup_checkpoint.json").exists()

@@ -240,6 +240,13 @@ class TestTraining:
         assert np.array_equal(p1.encoder, p2.encoder)
         assert np.array_equal(p1.mask_w1, p2.mask_w1)
 
+    def test_setup_loss_kind_is_the_loss_trained(self):
+        cfg = TrainConfig(epochs=1, learning_rate=0.1, seed=0)
+        _, plain = train(cfg, self.CORPUS, self.VAL, LossSetup(loss_kind=LossKind.PLAIN))
+        _, weight = train(cfg, self.CORPUS, self.VAL, LossSetup(loss_kind=LossKind.WEIGHT))
+        assert weight[1].train_loss != plain[1].train_loss
+        assert history_to_csv(weight) != history_to_csv(plain)
+
     def test_training_improves_validation(self):
         cfg = TrainConfig(epochs=8, learning_rate=0.2, seed=0)
         _, history = train(cfg, self.CORPUS, self.VAL)

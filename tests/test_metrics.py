@@ -293,6 +293,25 @@ class TestDistributionReport:
         assert rep.class_freq == tuple(freq)
         assert rep.n_sc == int(np.sum(all_vals < 0))
 
+    @staticmethod
+    def with_counts(n_sc, n_valid):
+        return ScStatistics(
+            chunk_sisdri=np.zeros(n_valid),
+            n_sc=n_sc,
+            n_valid=n_valid,
+            r_scr=100.0 * n_sc / n_valid if n_valid else 0.0,
+            class_freq=(n_sc, 0, n_valid - n_sc, 0),
+            class_sum=(0.0, 0.0, 0.0, 0.0),
+            degenerate=n_valid == 0,
+        )
+
+    def test_r_scr_pools_counts_not_ratios(self):
+        rep = distribution_report([self.with_counts(1, 1), self.with_counts(0, 3)])
+        assert rep.r_scr == 25.0  # the mean of the two ratios would be 50
+
+    def test_r_scr_is_zero_when_no_chunk_is_valid(self):
+        assert distribution_report([self.with_counts(0, 0)]).r_scr == 0.0
+
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):
             distribution_report([])
