@@ -35,7 +35,6 @@ from .metrics import (
     distribution_report,
     sc_statistics,
     si_sdr,
-    si_sdr_improvement,
 )
 from .signal_core import ActivityConfig, ChunkingConfig, ChunkMode, make_chunks
 from .synth import make_corpus
@@ -110,23 +109,38 @@ def parse_args(argv) -> argparse.Namespace:
         # own defaults overwrite anything set on the top-level namespace.
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         parsers = [parser, *commands.choices.values()]
-        overrides = _read_config(pre.config, {a.dest for sub in parsers for a in sub._actions})
+        overrides = _read_config(pre.config, [a for sub in parsers for a in sub._actions])
         for sub in parsers:
             dests = {a.dest for a in sub._actions}
             sub.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
     return parser.parse_args(argv)
 
 
-def _read_config(path: str, dests: set[str]) -> dict:
-    """Flag defaults from a JSON object; every key must name a flag of some subcommand."""
+def _read_config(path: str, actions: list[argparse.Action]) -> dict:
+    """Flag defaults from a JSON object; every key must name a flag of some subcommand.
+
+    Values are returned as strings, as if typed on the command line: argparse
+    converts string defaults with the flag's type and reports a bad value.
+    It does not check choices on defaults, so that is done here.
+    """
     with open(path) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: expected a JSON object of flag defaults")
+    dests = {a.dest for a in actions}
     unknown = [k for k in overrides if k.replace("-", "_") not in dests]
     if unknown:
         raise ValueError(f"{path}: no flag matches key(s) {', '.join(unknown)}")
-    return {k.replace("-", "_"): v for k, v in overrides.items()}
+    # bool is an int subclass, but no flag takes true/false
+    bad = [k for k, v in overrides.items()
+           if isinstance(v, bool) or not isinstance(v, (int, float, str))]
+    if bad:
+        raise ValueError(f"{path}: key(s) {', '.join(bad)} need a number or a string")
+    values = {k.replace("-", "_"): str(v) for k, v in overrides.items()}
+    for a in actions:
+        if a.dest in values and a.choices is not None and values[a.dest] not in a.choices:
+            raise ValueError(f"{path}: {a.dest} must be one of {', '.join(a.choices)}")
+    return values
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -189,11 +203,13 @@ def _evaluate_manifest(args):
             stats = sc_statistics(
                 est, tgt, mix, chunks, setup.activity, setup.sisdr_cfg, setup.bins
             )
+            score = si_sdr(est, tgt, setup.sisdr_cfg)
             report.append(
                 {
                     "id": os.path.splitext(os.path.basename(row[0]))[0],
-                    "si_sdr": si_sdr(est, tgt, setup.sisdr_cfg),
-                    "si_sdri": si_sdr_improvement(est, tgt, mix, setup.sisdr_cfg),
+                    "si_sdr": score,
+                    # si_sdr_improvement, without scoring the estimate twice
+                    "si_sdri": score - si_sdr(mix, tgt, setup.sisdr_cfg),
                     "stats": stats,
                 }
             )

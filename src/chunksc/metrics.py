@@ -15,10 +15,11 @@ to a [0, 1] fraction.
 
 `_si_sdr_rows` is the only place SI-SDR is computed. It scores a (K, L)
 stack of rows at once: zero-copy chunk views of the signals (see
-`signal_core.ChunkGrid`), or the whole utterance as K = 1. The metric
-functions here and the training losses are thin layers over it, and every
-chunk-level caller takes the set of chunks that count from the one
-activity rule, `signal_core.active_mask`.
+`signal_core.ChunkGrid`), or the whole utterance as K = 1. It works in
+tiles of at most `_BLOCK_SAMPLES` samples, so long rows need no row-sized
+temporaries. The metric functions here and the training losses are thin
+layers over it, and every chunk-level caller takes the set of chunks that
+count from the one activity rule, `signal_core.active_mask`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import EmptyInput, LengthMismatch, ZeroTarget
 from .signal_core import ActivityConfig, ChunkGrid, ChunkIndex, Waveform, active_mask
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
-# Rows per pass of the residual are chosen to keep it near this many samples.
+# Largest projection/residual tile of the kernel, in samples.
 _BLOCK_SAMPLES = 1 << 16
 
 
@@ -98,25 +99,31 @@ def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool 
 
     alpha = <e,t>/||t||^2 and the value is 10*log10(||alpha t||^2 /
     ||e - alpha t||^2), clamped to +-clamp_db. Projection and residual are
-    formed explicitly, in blocks of rows, so the dot products are those of
-    the textbook formula. With grad, also returns d value / d e per row: the
-    projection coefficient is differentiated through, and the gradient is
-    zero where the clamp is active.
+    formed explicitly, tile by tile (a block of rows by a block of columns,
+    at most _BLOCK_SAMPLES samples), and the tile sums add into the two
+    norms. A row of at most _BLOCK_SAMPLES samples is a single column tile,
+    so its dot products are those of the textbook formula; a longer row
+    differs from it only in summation order. With grad, also returns
+    d value / d e per row: the projection coefficient is differentiated
+    through, and the gradient is zero where the clamp is active.
     """
     ref_energy = np.vecdot(ref, ref)
     silent = ref_energy < cfg.eps
     alpha = np.vecdot(est, ref) / np.where(silent, 1.0, ref_energy)
-    num, den = np.empty_like(alpha), np.empty_like(alpha)
+    num, den = np.zeros_like(alpha), np.zeros_like(alpha)
     residual = np.empty(est.shape) if grad else None
-    step = max(1, _BLOCK_SAMPLES // est.shape[1])
+    width = min(est.shape[1], _BLOCK_SAMPLES)
+    step = max(1, _BLOCK_SAMPLES // width)
     for lo in range(0, est.shape[0], step):
         rows = slice(lo, lo + step)
-        projection = alpha[rows, None] * ref[rows]
-        r = est[rows] - projection
-        num[rows] = np.vecdot(projection, projection)
-        den[rows] = np.vecdot(r, r)
-        if grad:
-            residual[rows] = r
+        for c in range(0, est.shape[1], width):
+            cols = slice(c, c + width)
+            projection = alpha[rows, None] * ref[rows, cols]
+            r = est[rows, cols] - projection
+            num[rows] += np.vecdot(projection, projection)
+            den[rows] += np.vecdot(r, r)
+            if grad:
+                residual[rows, cols] = r
     raw = 10.0 * np.log10((num + cfg.eps) / (den + cfg.eps))
     clamped = np.abs(raw) >= cfg.clamp_db
     value = np.where(silent, np.nan, np.clip(raw, -cfg.clamp_db, cfg.clamp_db))

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from chunksc import make_corpus, write_wav
-from chunksc.cli import main
+from chunksc import Waveform, make_corpus, metrics, read_wav, si_sdr, si_sdr_improvement, write_wav
+from chunksc.cli import _evaluate_manifest, main, parse_args
 
 RATE = 8000
 
@@ -78,6 +78,24 @@ class TestEval:
         assert len(payload["rows"]) == 3
         # the summary's si_sdr slot is deliberately empty -> null
         assert payload["summary"][1] is None
+
+    def test_si_sdri_is_si_sdr_improvement_bit_for_bit(self, tmp_path, corpus, monkeypatch):
+        # small tiles, so the 16000-sample utterances span many column tiles
+        monkeypatch.setattr(metrics, "_BLOCK_SAMPLES", 1000)
+        triples = []
+        for i, ex in enumerate(corpus):
+            est = Waveform(0.7 * ex.target.samples + 0.4 * ex.interferer.samples, RATE)
+            paths = [str(tmp_path / f"{name}{i}.wav") for name in ("est", "tgt", "mix")]
+            for path, w in zip(paths, (est, ex.target, ex.mixture)):
+                write_wav(path, w)
+            triples.append(paths)
+        args = parse_args(["eval", "--manifest", write_manifest(tmp_path, triples),
+                           "--out", str(tmp_path / "r.csv")])
+        report = _evaluate_manifest(args)
+        for row, paths in zip(report, triples):
+            est, tgt, mix = (read_wav(p) for p in paths)
+            assert row["si_sdr"] == si_sdr(est, tgt)
+            assert row["si_sdri"] == si_sdr_improvement(est, tgt, mix)
 
     def test_missing_file_exits_2(self, tmp_path):
         manifest = write_manifest(
@@ -172,6 +190,47 @@ class TestConfigPrecedence:
         assert main(["--config", str(cfg), "eval", "--manifest", manifest, "--out", out]) == 0
         _, rows = read_report_csv(out)
         assert float(rows[0][1]) == pytest.approx(45.0)
+
+    def test_float_for_an_int_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1.5}))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "train", "--train-size", "4", "--val-size", "2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid int value: '1.5'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value", [True, [4], {"n": 4}, None], ids=["bool", "list", "object", "null"]
+    )
+    def test_value_that_is_no_number_or_string_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train-size": value}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), *train_args(str(out))]) == 2
+        assert "train-size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_outside_the_flag_choices_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": "bogus"}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), *train_args(str(out))]) == 2
+        assert "loss must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_are_converted_by_the_flag_type(self, tmp_path):
+        # an int for a float flag and a numeric string for an int flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"clamp-db": 45, "batch": "3"}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), *train_args(str(out))]) == 0
+        header = (out / "history.csv").read_text().splitlines()[0]
+        config = json.loads(header.removeprefix("# config: "))
+        assert config["clamp_db"] == 45.0 and isinstance(config["clamp_db"], float)
+        assert config["batch"] == 3
 
 
 class TestEvalHop:

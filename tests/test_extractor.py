@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -291,6 +293,26 @@ class TestSerialization:
         q = load_checkpoint(path)
         for f in dataclasses.fields(ToyExtractorParams):
             assert np.array_equal(getattr(p, f.name), getattr(q, f.name))
+
+    def test_checkpoint_bytes_are_those_of_json_dump(self, tmp_path):
+        # pins the file format, and with it the warm-up hash `compare` reports
+        p = init_params(4)
+        p.mask_b1[:6] = [-0.0, 5e-324, 1.0 / 3.0, 1e16, -2.5e-300, 123456789.125]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), p)
+        payload = {
+            "format": "chunksc-params-v1",
+            "arrays": {
+                f.name: {
+                    "shape": list(getattr(p, f.name).shape),
+                    "data": getattr(p, f.name).ravel().tolist(),
+                }
+                for f in dataclasses.fields(ToyExtractorParams)
+            },
+        }
+        expected = io.StringIO()
+        json.dump(payload, expected)
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_checkpoint_format_guard(self, tmp_path):
         path = tmp_path / "bogus.json"

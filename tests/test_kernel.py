@@ -19,13 +19,16 @@ from chunksc import (
     BinEdges,
     ChunkIndex,
     ChunkingConfig,
+    LossKind,
     NoValidChunks,
     SiSdrConfig,
     Waveform,
     WeightLossConfig,
     chunkwise_sisdri,
+    gradient_check,
     loss_weight_sisdr,
     make_chunks,
+    metrics,
     sc_statistics,
 )
 from chunksc.cli import main
@@ -249,3 +252,60 @@ def test_weight_mode_flag_is_gone(tmp_path, capsys):
         main(["train", "--weight-mode", "count", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "--weight-mode" in capsys.readouterr().err
+
+
+# Tiling: rows longer than metrics._BLOCK_SAMPLES are scored in column tiles.
+SMALL_BLOCK = 64
+
+
+def tiling_rows(shape, seed):
+    """Estimate and reference rows, with a clamped-high, a clamped-low and a silent row."""
+    rng = np.random.default_rng(seed)
+    ref = rng.normal(size=shape)
+    est = ref + rng.uniform(0.1, 2.0, size=(shape[0], 1)) * rng.normal(size=shape)
+    if shape[0] > 1:
+        est[0] = ref[0]
+        noise = rng.normal(size=shape[1])
+        est[1] = noise - (noise @ ref[1] / (ref[1] @ ref[1]) - 1e-5) * ref[1]
+        ref[2] = 0.0
+    return est, ref
+
+
+@pytest.mark.parametrize("shape", [(1, 1000), (1, 65), (7, 300), (5, 129)])
+@pytest.mark.parametrize("grad", [False, True])
+def test_column_tiles_match_the_untiled_kernel(monkeypatch, shape, grad):
+    est, ref = tiling_rows(shape, seed=shape[1])
+    untiled = _si_sdr_rows(est, ref, CFG, grad)
+    monkeypatch.setattr(metrics, "_BLOCK_SAMPLES", SMALL_BLOCK)
+    tiled = _si_sdr_rows(est, ref, CFG, grad)
+    np.testing.assert_allclose(tiled.value, untiled.value, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(tiled.clamped, untiled.clamped)
+    np.testing.assert_allclose(tiled.ref_energy, untiled.ref_energy, rtol=1e-15, atol=0)
+    if shape[0] > 1:
+        assert untiled.clamped[:2].all() and np.isnan(untiled.value[2])
+    if grad:
+        scale = np.abs(untiled.grad).max(axis=1, keepdims=True)
+        assert np.all(np.abs(tiled.grad - untiled.grad) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (12, 64), (12, 50)])
+def test_rows_within_one_tile_are_bit_identical(monkeypatch, shape):
+    est, ref = tiling_rows(shape, seed=shape[0])
+    untiled = _si_sdr_rows(est, ref, CFG, grad=True)
+    monkeypatch.setattr(metrics, "_BLOCK_SAMPLES", SMALL_BLOCK)
+    tiled = _si_sdr_rows(est, ref, CFG, grad=True)
+    np.testing.assert_array_equal(tiled.value, untiled.value)
+    np.testing.assert_array_equal(tiled.grad, untiled.grad)
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_gradient_check_passes_with_column_tiles(monkeypatch, kind):
+    monkeypatch.setattr(metrics, "_BLOCK_SAMPLES", SMALL_BLOCK)
+    rng = np.random.default_rng(41)
+    t = rng.normal(size=512)
+    y = t + rng.normal(size=512)
+    e = t + 0.8 * rng.normal(size=512)
+    # 100-sample chunks span two or three column tiles, the utterance eight
+    chunks = make_chunks(512, ChunkingConfig(100, 50), RATE)
+    fd_step = {LossKind.PLAIN: 3e-4, LossKind.SCALE: 3e-4, LossKind.WEIGHT: 1e-4}[kind]
+    assert gradient_check(kind, *waves(e, t, y), chunks, fd_step=fd_step) < 1e-5
