@@ -35,8 +35,8 @@ from .metrics import (
 )
 from .signal_core import (
     ActivityConfig,
+    ChunkGrid,
     ChunkIndex,
-    ChunkMode,
     ChunkingConfig,
     Waveform,
     chunk_energy_db,

@@ -36,14 +36,14 @@ from .metrics import (
     sc_statistics,
     si_sdr,
 )
-from .signal_core import ActivityConfig, ChunkingConfig, ChunkMode, make_chunks
+from .signal_core import ActivityConfig, ChunkingConfig, make_chunks
 from .synth import make_corpus
 from .wav_io import read_wav
 
 
 def _add_metric_flags(p: argparse.ArgumentParser):
     p.add_argument("--chunk-ms", type=float, default=250.0, help="chunk length in ms")
-    p.add_argument("--hop-ms", type=float, default=125.0, help="training-mode hop in ms")
+    p.add_argument("--hop-ms", type=float, default=125.0, help="hop between overlapping chunks in ms")
     p.add_argument("--eta", type=float, default=15.0, help="chunk activity threshold in dB")
     p.add_argument("--clamp-db", type=float, default=60.0, help="symmetric SI-SDR clamp in dB")
     p.add_argument("--bins", default="-5,0,5", help="class bin edges e1,e2,e3 in dB")
@@ -154,11 +154,11 @@ def _parse_floats(text: str, name: str, n: int) -> tuple[float, ...]:
     return tuple(parts)
 
 
-def _loss_setup(args, mode: ChunkMode) -> LossSetup:
-    """The scoring settings every subcommand shares: chunking in `mode`, the
-    activity gate, the clamp and the class bins."""
+def _loss_setup(args, hop_ms: float) -> LossSetup:
+    """The scoring settings every subcommand shares: chunks of --chunk-ms at
+    `hop_ms`, the activity gate, the clamp and the class bins."""
     return LossSetup(
-        chunking=ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=args.hop_ms, mode=mode),
+        chunking=ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=hop_ms),
         activity=ActivityConfig(eta_db=args.eta),
         sisdr_cfg=SiSdrConfig(clamp_db=args.clamp_db),
         bins=BinEdges(_parse_floats(args.bins, "--bins", 3)),
@@ -192,8 +192,7 @@ def _load_triple(row, row_num):
 
 
 def _evaluate_manifest(args):
-    mode = ChunkMode.TRAINING if args.eval_hop == "overlap" else ChunkMode.INFERENCE
-    setup = _loss_setup(args, mode)
+    setup = _loss_setup(args, args.hop_ms if args.eval_hop == "overlap" else args.chunk_ms)
     rows = _read_manifest(args.manifest)
     report = []
     for n, row in enumerate(rows, start=1):
@@ -285,7 +284,7 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     A DivergenceDetected propagates from the stage that diverged.
     """
     setup = replace(
-        _loss_setup(args, ChunkMode.TRAINING),
+        _loss_setup(args, args.hop_ms),
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
         weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
     )

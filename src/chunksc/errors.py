@@ -14,7 +14,7 @@ class ChunkLenExceedsSignal(ChunkscError):
 
 
 class InvalidHop(ChunkscError):
-    """Training-mode hop must be positive and no larger than the chunk length."""
+    """Chunk hop must be positive and no larger than the chunk length."""
 
 
 class ZeroTarget(ChunkscError):

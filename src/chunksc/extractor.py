@@ -32,7 +32,7 @@ from .losses import (
     loss_weight_sisdr,
 )
 from .metrics import BinEdges, SiSdrConfig, distribution_report, sc_statistics, si_sdr_improvement
-from .signal_core import ActivityConfig, ChunkingConfig, ChunkMode, Waveform, make_chunks
+from .signal_core import ActivityConfig, ChunkingConfig, Waveform, make_chunks
 from .synth import MixtureExample
 
 FRAME_SIZE = 64
@@ -40,6 +40,8 @@ FEAT_DIM = 64
 HIDDEN_DIM = 64
 STATS_DIM = FRAME_SIZE // 2 + 1
 _NORM_EPS = 1e-8
+# Validation epochs without a new best SI-SDRi before the learning rate halves.
+LR_HALVING_PATIENCE = 2
 
 
 @dataclass
@@ -109,6 +111,8 @@ def enrollment_stats(enrollment: Waveform, frame_size: int = FRAME_SIZE) -> np.n
     Constant with respect to the trainable parameters; speaker identity shows
     up as the harmonic comb of the enrollment signal.
     """
+    if len(enrollment) < frame_size:
+        raise ValueError(f"enrollment has {len(enrollment)} samples, fewer than one {frame_size}-sample frame")
     n = (len(enrollment) // frame_size) * frame_size
     frames = enrollment.samples[:n].reshape(-1, frame_size)
     mag = np.abs(np.fft.rfft(frames, axis=1)).mean(axis=0)
@@ -240,12 +244,11 @@ class TrainConfig:
     epochs: int = 20
     batch: int = 8
     seed: int = 0
-    lr_halving_patience: int = 2
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 0 or self.batch < 1 or self.lr_halving_patience < 1:
+        if self.epochs < 0 or self.batch < 1:
             raise ValueError("invalid training configuration")
 
 
@@ -264,12 +267,11 @@ def evaluate_corpus(
 ) -> tuple[float, float]:
     """Mean utterance SI-SDRi and pooled confusion ratio over a corpus.
 
-    Reporting uses non-overlapping (inference-mode) chunks regardless of the
-    training hop.
+    Reporting uses non-overlapping chunks (hop == chunk length) regardless of
+    the training hop.
     """
-    eval_chunking = ChunkingConfig(
-        chunk_len_ms=setup.chunking.chunk_len_ms, mode=ChunkMode.INFERENCE
-    )
+    length_ms = setup.chunking.chunk_len_ms
+    eval_chunking = ChunkingConfig(chunk_len_ms=length_ms, hop_ms=length_ms)
     sisdri_sum = 0.0
     stats = []
     for ex in corpus:
@@ -341,7 +343,7 @@ def train(
             stale_epochs = 0
         else:
             stale_epochs += 1
-            if stale_epochs >= cfg.lr_halving_patience:
+            if stale_epochs >= LR_HALVING_PATIENCE:
                 lr *= 0.5
                 stale_epochs = 0
     return params, history

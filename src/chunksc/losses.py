@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NoValidChunks
 from .metrics import BinEdges, SiSdrConfig, _score_chunks, _utterance_si_sdr, sc_statistics
-from .signal_core import ActivityConfig, ChunkIndex, Waveform
+from .signal_core import ActivityConfig, ChunkGrid, Waveform
 
 
 class LossKind(enum.Enum):
@@ -95,7 +95,7 @@ def loss_scale_sisdr(
     estimate: Waveform,
     target: Waveform,
     mixture: Waveform,
-    chunks: list[ChunkIndex],
+    chunks: ChunkGrid,
     activity: ActivityConfig = ActivityConfig(),
     sisdr_cfg: SiSdrConfig = SiSdrConfig(),
     scale_cfg: ScaleLossConfig = ScaleLossConfig(),
@@ -129,7 +129,7 @@ def loss_weight_sisdr(
     estimate: Waveform,
     target: Waveform,
     mixture: Waveform,
-    chunks: list[ChunkIndex],
+    chunks: ChunkGrid,
     activity: ActivityConfig = ActivityConfig(),
     sisdr_cfg: SiSdrConfig = SiSdrConfig(),
     bins: BinEdges = BinEdges(),
@@ -169,7 +169,7 @@ def gradient_check(
     estimate: Waveform,
     target: Waveform,
     mixture: Waveform | None = None,
-    chunks: list[ChunkIndex] | None = None,
+    chunks: ChunkGrid | None = None,
     activity: ActivityConfig = ActivityConfig(),
     sisdr_cfg: SiSdrConfig = SiSdrConfig(),
     scale_cfg: ScaleLossConfig = ScaleLossConfig(),

@@ -14,8 +14,9 @@ The chunkwise confusion ratio r_scr is stored in percent; losses convert it
 to a [0, 1] fraction.
 
 `_si_sdr_rows` is the only place SI-SDR is computed. It scores a (K, L)
-stack of rows at once: zero-copy chunk views of the signals (see
-`signal_core.ChunkGrid`), or the whole utterance as K = 1. It works in
+stack of rows at once: zero-copy chunk views of the signals, from the
+`signal_core.ChunkGrid` that `make_chunks` returns and every chunk-level
+function takes, or the whole utterance as K = 1. It works in
 tiles of at most `_BLOCK_SAMPLES` samples, so long rows need no row-sized
 temporaries. The metric functions here and the training losses are thin
 layers over it, and every chunk-level caller takes the set of chunks that
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, ZeroTarget
-from .signal_core import ActivityConfig, ChunkGrid, ChunkIndex, Waveform, active_mask
+from .signal_core import ActivityConfig, ChunkGrid, Waveform, active_mask
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
 # Largest projection/residual tile of the kernel, in samples.
@@ -45,7 +46,7 @@ class SiSdrConfig:
     eps: float = 1e-12
 
     def __post_init__(self):
-        if self.clamp_db < 30:
+        if not self.clamp_db >= 30:  # NaN fails too
             raise ValueError("clamp_db must be >= 30")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
@@ -139,8 +140,7 @@ def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool 
 
 def _utterance_si_sdr(estimate: Waveform, target: Waveform, cfg: SiSdrConfig, grad: bool = False) -> _Rows:
     """The kernel on the whole utterance as a single row."""
-    if len(estimate) != len(target):
-        raise LengthMismatch(f"estimate has {len(estimate)} samples, target has {len(target)}")
+    _check_alike((estimate, target), len(target))
     rows = _si_sdr_rows(estimate.samples[None], target.samples[None], cfg, grad)
     if rows.ref_energy[0] < cfg.eps:
         raise ZeroTarget("target signal has zero energy")
@@ -166,6 +166,14 @@ def si_sdr_improvement(
     return si_sdr(estimate, target, cfg) - si_sdr(mixture, target, cfg)
 
 
+def _check_alike(waves: tuple[Waveform, ...], n_samples: int):
+    """Every waveform has n_samples samples, and all share one sample rate."""
+    if any(len(w) != n_samples for w in waves):
+        raise LengthMismatch(f"signals have {' vs '.join(str(len(w)) for w in waves)} samples, not all {n_samples}")
+    if len({w.sample_rate for w in waves}) > 1:
+        raise ValueError(f"sample rates differ: {' vs '.join(f'{w.sample_rate} Hz' for w in waves)}")
+
+
 @dataclass(frozen=True)
 class _ChunkScores:
     """Kernel output for every chunk of one utterance."""
@@ -181,14 +189,14 @@ def _score_chunks(
     estimate: Waveform,
     target: Waveform,
     mixture: Waveform,
-    chunks: list[ChunkIndex],
+    grid: ChunkGrid,
     activity: ActivityConfig,
     cfg: SiSdrConfig,
     grad: bool = False,
 ) -> _ChunkScores:
-    if not (len(estimate) == len(target) == len(mixture)):
-        raise LengthMismatch("estimate, target and mixture must share length")
-    grid = ChunkGrid.of(chunks, len(estimate))
+    if not isinstance(grid, ChunkGrid):
+        raise ValueError("chunks must be the ChunkGrid that make_chunks returns")
+    _check_alike((estimate, target, mixture), grid.n_samples)
     e, t, y = (grid.rows(w.samples) for w in (estimate, target, mixture))
     to_target = _si_sdr_rows(e, t, cfg, grad)
     to_mixture = _si_sdr_rows(e, y, cfg, grad)
@@ -202,14 +210,14 @@ def chunkwise_sisdri(
     estimate: Waveform,
     target: Waveform,
     mixture: Waveform,
-    chunks: list[ChunkIndex],
+    chunks: ChunkGrid,
     cfg: SiSdrConfig = SiSdrConfig(),
 ) -> np.ndarray:
     """Per-chunk SI-SDR(e_k, t_k) - SI-SDR(e_k, y_k), one value per chunk.
 
     Chunks whose target or mixture slice is numerically silent get a NaN
-    sentinel; callers filter those through the activity test. `chunks` must
-    be laid out as make_chunks returns them.
+    sentinel; callers filter those through the activity test. `chunks` is
+    the grid make_chunks returns for these signals.
     """
     return _score_chunks(estimate, target, mixture, chunks, ActivityConfig(), cfg).sisdri
 
@@ -223,7 +231,7 @@ def sc_statistics(
     estimate: Waveform,
     target: Waveform,
     mixture: Waveform,
-    chunks: list[ChunkIndex],
+    chunks: ChunkGrid,
     activity: ActivityConfig = ActivityConfig(),
     cfg: SiSdrConfig = SiSdrConfig(),
     bins: BinEdges = BinEdges(),

@@ -9,8 +9,8 @@ kernels all decide through it.
 
 from __future__ import annotations
 
-import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +21,6 @@ from .errors import ChunkLenExceedsSignal, InvalidHop, LengthMismatch
 # Additive floor inside the dB conversion; keeps silence finite without
 # perturbing audible-level energies.
 ENERGY_FLOOR = 1e-12
-
-
-class ChunkMode(enum.Enum):
-    TRAINING = "training"
-    INFERENCE = "inference"
 
 
 @dataclass(frozen=True)
@@ -51,17 +46,18 @@ class Waveform:
 class ChunkingConfig:
     """Chunk length and hop in milliseconds.
 
-    In inference mode the hop is ignored and chunks tile the signal without
-    overlap (effective hop == chunk length). A literal hop of zero would make
-    the chunk count ceil((T-L)/O + 1) undefined, so "no overlap" is the
-    zero-overlap reading used here.
+    A hop below the chunk length gives overlapping chunks (training); a hop
+    equal to it tiles the signal without overlap (inference). A literal hop
+    of zero would make the chunk count ceil((T-L)/O + 1) undefined, so "no
+    overlap" is the zero-overlap reading used here.
     """
 
     chunk_len_ms: float = 250.0
     hop_ms: float = 125.0
-    mode: ChunkMode = ChunkMode.TRAINING
 
     def __post_init__(self):
+        if not (math.isfinite(self.chunk_len_ms) and math.isfinite(self.hop_ms)):
+            raise ValueError("chunk_len_ms and hop_ms must be finite")
         if self.chunk_len_ms <= 0:
             raise ValueError("chunk_len_ms must be positive")
 
@@ -97,70 +93,61 @@ def samples_from_ms(ms: float, sample_rate: int) -> int:
     return int(round(ms * sample_rate / 1000.0))
 
 
-def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> list[ChunkIndex]:
+def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> ChunkGrid:
     """Segment [0, n_samples) into chunks of length L with hop O.
 
-    Returns exactly ceil((T-L)/O + 1) chunks. Starts advance by exactly the
+    Returns the ChunkGrid of exactly ceil((T-L)/O + 1) chunks, which the
+    chunk-level metrics and losses take. Starts advance by exactly the
     hop; the last chunk is truncated at the signal end (never zero-padded, so
     energy statistics stay honest).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     chunk_len = samples_from_ms(cfg.chunk_len_ms, sample_rate)
+    if chunk_len < 1:
+        raise ValueError(f"chunk length {cfg.chunk_len_ms} ms is under 1 sample at {sample_rate} Hz")
     if chunk_len > n_samples:
         raise ChunkLenExceedsSignal(
             f"chunk length {chunk_len} samples exceeds signal length {n_samples}"
         )
-    if cfg.mode is ChunkMode.INFERENCE:
-        hop = chunk_len
-    else:
-        hop = samples_from_ms(cfg.hop_ms, sample_rate)
-        if hop <= 0:
-            raise InvalidHop(f"training-mode hop must be positive, got {hop} samples")
-        if hop > chunk_len:
-            raise InvalidHop("training-mode hop must not exceed the chunk length")
+    hop = samples_from_ms(cfg.hop_ms, sample_rate)
+    if hop <= 0:
+        raise InvalidHop(f"hop must be positive, got {hop} samples")
+    if hop > chunk_len:
+        raise InvalidHop("hop must not exceed the chunk length")
     n_chunks = math.ceil((n_samples - chunk_len) / hop) + 1
-    return [
-        ChunkIndex(k * hop, min(k * hop + chunk_len, n_samples))
-        for k in range(n_chunks)
-    ]
+    return ChunkGrid(hop, chunk_len, n_chunks, n_samples)
 
 
 @dataclass(frozen=True)
 class ChunkGrid:
-    """A chunk list in make_chunks's layout: `count` chunks of `length`
-    samples whose starts advance by `hop` from `first`, the last one cut off
-    at the end of an `n_samples` signal."""
+    """The chunks of an `n_samples` signal, as make_chunks lays them out:
+    `count` chunks of `length` samples whose starts advance by `hop` from 0,
+    the last one cut off at the signal end.
 
-    first: int
+    Indexing and iteration give `ChunkIndex` ranges (a slice gives a list),
+    and `rows` gives the chunks of a signal as one strided array.
+    """
+
     hop: int
     length: int
     count: int
     n_samples: int
 
-    @classmethod
-    def of(cls, chunks: list[ChunkIndex], n_samples: int) -> "ChunkGrid":
-        if not chunks:
-            raise ValueError("chunk list is empty")
-        starts = np.array([c.start for c in chunks])
-        ends = np.array([c.end for c in chunks])
-        hop = int(starts[1] - starts[0]) if len(chunks) > 1 else 1
-        grid = cls(int(starts[0]), hop, int(ends[0] - starts[0]), len(chunks), n_samples)
-        want = grid.starts()
-        if hop < 1 or not (
-            np.array_equal(starts, want)
-            and np.array_equal(ends, np.minimum(want + grid.length, n_samples))
-        ):
-            raise ValueError(
-                "chunks must be equally spaced, of equal length and cut off only at the signal end"
-            )
-        return grid
+    def __len__(self) -> int:
+        return self.count
 
-    def starts(self) -> np.ndarray:
-        return self.first + self.hop * np.arange(self.count)
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self.count))]
+        k = operator.index(k)
+        if not -self.count <= k < self.count:
+            raise IndexError(f"chunk {k} out of range for {self.count} chunks")
+        start = (k % self.count) * self.hop
+        return ChunkIndex(start, min(start + self.length, self.n_samples))
 
     def _span(self) -> int:
-        return self.first + (self.count - 1) * self.hop + self.length
+        return (self.count - 1) * self.hop + self.length
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """(count, length) strided view of x, one row per chunk.
@@ -171,12 +158,12 @@ class ChunkGrid:
         span = self._span()
         if span > x.size:
             x = np.concatenate([x, np.zeros(span - x.size)])
-        return sliding_window_view(x[self.first:span], self.length)[:: self.hop]
+        return sliding_window_view(x[:span], self.length)[:: self.hop]
 
     def overlap_add(self, rows: np.ndarray) -> np.ndarray:
         """Inverse of `rows` for gradients: add every row back onto its
         samples, in chunk order, and drop the padding."""
-        index = self.starts()[:, None] + np.arange(self.length)
+        index = self.hop * np.arange(self.count)[:, None] + np.arange(self.length)
         summed = np.bincount(index.ravel(), weights=rows.ravel(), minlength=self._span())
         return summed[: self.n_samples]
 

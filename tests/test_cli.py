@@ -97,6 +97,22 @@ class TestEval:
             assert row["si_sdr"] == si_sdr(est, tgt)
             assert row["si_sdri"] == si_sdr_improvement(est, tgt, mix)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--chunk-ms", "0.01"], "under 1 sample"),
+            (["--chunk-ms", "inf"], "must be finite"),
+            (["--hop-ms", "inf", "--eval-hop", "overlap"], "must be finite"),
+            (["--clamp-db", "nan"], "clamp_db"),
+        ],
+        ids=["chunk-under-1-sample", "chunk-inf", "hop-inf", "clamp-nan"],
+    )
+    def test_unusable_chunk_or_clamp_setting_exits_2(self, tmp_path, corpus, capsys, flags, message):
+        manifest = manifest_for(tmp_path, corpus, "target")
+        assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     def test_missing_file_exits_2(self, tmp_path):
         manifest = write_manifest(
             tmp_path, [("/nonexistent/a.wav", "/nonexistent/b.wav", "/nonexistent/c.wav")]

@@ -74,6 +74,12 @@ class TestEnrollmentStats:
         assert s.shape == (33,)
         assert np.linalg.norm(s) == pytest.approx(1.0)
 
+    def test_shorter_than_one_frame_rejected(self):
+        # Before, forward returned all-NaN output with only RuntimeWarnings.
+        short = Waveform(EXAMPLE.enrollment.samples[:32], EXAMPLE.enrollment.sample_rate)
+        with pytest.raises(ValueError, match="32 samples"):
+            forward(init_params(0), EXAMPLE.mixture, short)
+
     def test_distinguishes_speakers(self):
         a = gen_example(SPEAKERS[0], SPEAKERS[1], 2.0, 0.0, seed=1)
         b = gen_example(SPEAKERS[5], SPEAKERS[1], 2.0, 0.0, seed=1)

@@ -19,6 +19,7 @@ from chunksc import (
     BinEdges,
     ChunkIndex,
     ChunkingConfig,
+    LengthMismatch,
     LossKind,
     NoValidChunks,
     SiSdrConfig,
@@ -33,7 +34,7 @@ from chunksc import (
 )
 from chunksc.cli import main
 from chunksc.metrics import _score_chunks, _si_sdr_rows
-from chunksc.signal_core import ENERGY_FLOOR, ChunkGrid
+from chunksc.signal_core import ENERGY_FLOOR
 
 RATE = 1000  # 1 sample per ms, so chunk lengths and hops are in samples
 CFG = SiSdrConfig()
@@ -192,21 +193,20 @@ def test_zero_padding_the_last_chunk_is_exact(length, hop, extra, seed):
     # (and any number of appended zeros) must give the same bits.
     e, t = (rng.integers(-50, 51, size=n).astype(float) for _ in range(2))
     t[t == 0] = 1.0
-    grid = ChunkGrid.of(chunks, n)
     last = chunks[-1]
-    padded = _si_sdr_rows(grid.rows(e)[-1:], grid.rows(t)[-1:], CFG)
+    padded = _si_sdr_rows(chunks.rows(e)[-1:], chunks.rows(t)[-1:], CFG)
     alone = _si_sdr_rows(e[None, last.start:last.end], t[None, last.start:last.end], CFG)
     assert padded.ref_energy[0] == alone.ref_energy[0]
-    assert np.vecdot(grid.rows(e)[-1], grid.rows(t)[-1]) == np.dot(e[last.start:last.end], t[last.start:last.end])
+    assert np.vecdot(chunks.rows(e)[-1], chunks.rows(t)[-1]) == np.dot(e[last.start:last.end], t[last.start:last.end])
     assert abs(padded.value[0] - alone.value[0]) <= 1e-12
-    assert len(last) < length and not grid.rows(e)[-1][len(last):].any()
+    assert len(last) < length and not chunks.rows(e)[-1][len(last):].any()
 
 
 @PROPERTY
 @given(st.integers(2, 64), st.integers(1, 64), st.integers(0, 300), st.integers(0, 2**32 - 1))
 def test_overlap_add_is_the_adjoint_of_the_row_view(length, hop, extra, seed):
     n = length + extra
-    grid = ChunkGrid.of(make_chunks(n, ChunkingConfig(length, min(hop, length)), RATE), n)
+    grid = make_chunks(n, ChunkingConfig(length, min(hop, length)), RATE)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n)
     rows = rng.normal(size=(grid.count, grid.length))
@@ -245,6 +245,17 @@ def test_irregular_chunk_lists_are_rejected():
     ):
         with pytest.raises(ValueError):
             sc_statistics(e, t, y, chunks)
+
+
+def test_chunks_made_for_another_length_are_rejected():
+    # Before, a grid for 250 samples scored 300-sample signals and silently
+    # left the last 50 samples out.
+    for made_for, n in ((250, 300), (300, 250)):
+        chunks = make_chunks(made_for, ChunkingConfig(100, 50), RATE)
+        e, t, y = waves(*np.random.default_rng(13).normal(size=(3, n)))
+        for score in (sc_statistics, chunkwise_sisdri, loss_weight_sisdr):
+            with pytest.raises(LengthMismatch):
+                score(e, t, y, chunks)
 
 
 def test_weight_mode_flag_is_gone(tmp_path, capsys):

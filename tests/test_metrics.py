@@ -103,6 +103,20 @@ class TestSiSdr:
         with pytest.raises(ValueError):
             SiSdrConfig(clamp_db=20.0)
 
+    def test_nan_clamp_rejected_inf_clamp_accepted(self):
+        # NaN fails every comparison, so "clamp_db < 30" let it through.
+        with pytest.raises(ValueError):
+            SiSdrConfig(clamp_db=math.nan)
+        t = np.random.default_rng(9).normal(size=64)
+        e = t + 1e-4 * np.random.default_rng(10).normal(size=64)
+        got = si_sdr(wav(e), wav(t), SiSdrConfig(clamp_db=math.inf))
+        assert got == pytest.approx(oracle_si_sdr(e, t, clamp_db=math.inf), abs=1e-9)
+
+    def test_sample_rate_mismatch_rejected(self):
+        x = np.random.default_rng(8).normal(size=64)
+        with pytest.raises(ValueError, match="8000 Hz vs 16000 Hz"):
+            si_sdr(Waveform(x, 8000), Waveform(x, 16000))
+
 
 class TestSiSdrImprovement:
     def test_estimate_equals_mixture_gives_zero(self):
@@ -231,6 +245,12 @@ class TestScStatistics:
         assert stats.n_valid == 0 and stats.n_sc == 0
         assert stats.r_scr == 0.0
         assert stats.class_freq == (0, 0, 0, 0)
+
+    def test_sample_rate_mismatch_rejected(self):
+        x = np.random.default_rng(8).normal(size=4000)
+        chunks = make_chunks(len(x), ChunkingConfig(250, 125), RATE)
+        with pytest.raises(ValueError, match="16000 Hz"):
+            sc_statistics(wav(x), Waveform(x, 16000), wav(x), chunks)
 
     def test_invariants_on_random_signals(self):
         rng = np.random.default_rng(9)

@@ -7,7 +7,6 @@ from chunksc import (
     ActivityConfig,
     ChunkLenExceedsSignal,
     ChunkingConfig,
-    ChunkMode,
     InvalidHop,
     LengthMismatch,
     Waveform,
@@ -41,12 +40,13 @@ class TestMakeChunks:
         assert (chunks[0].start, chunks[0].end) == (0, 250)
 
     def test_inference_mode_tiles_without_overlap(self):
-        cfg = ChunkingConfig(chunk_len_ms=250, hop_ms=125, mode=ChunkMode.INFERENCE)
+        cfg = ChunkingConfig(chunk_len_ms=250, hop_ms=250)
         chunks = make_chunks(1000, cfg, 1000)
         assert [c.start for c in chunks] == [0, 250, 500, 750]
 
     def test_count_matches_formula_and_naive_oracle(self):
         rng = np.random.default_rng(0)
+        pick = np.random.default_rng(1)  # indices and slices, apart from the grid draws
         for _ in range(300):
             chunk_len = int(rng.integers(2, 200))
             hop = int(rng.integers(1, chunk_len + 1))
@@ -62,6 +62,19 @@ class TestMakeChunks:
                 b.start - a.start == hop for a, b in zip(chunks, chunks[1:])
             )
             assert all(c.end - c.start == chunk_len for c in chunks[:-1])
+            # the grid as a sequence: iteration, int indexing and slices
+            as_list = list(chunks)
+            assert [(c.start, c.end) for c in as_list] == [
+                (s, min(s + chunk_len, n)) for s in naive_chunk_starts(n, chunk_len, hop)
+            ]
+            k = int(pick.integers(1, len(chunks) + 1))
+            assert chunks[k - 1] == as_list[k - 1] and chunks[-k] == as_list[-k]
+            lo, hi = (int(x) for x in pick.integers(-len(chunks) - 2, len(chunks) + 3, size=2))
+            step = int(pick.choice([-3, -1, 1, 2]))
+            assert chunks[lo:hi:step] == as_list[lo:hi:step]
+            for out_of_range in (len(chunks), -len(chunks) - 1):
+                with pytest.raises(IndexError):
+                    chunks[out_of_range]
 
     def test_last_chunk_truncated(self):
         cfg = ChunkingConfig(chunk_len_ms=250, hop_ms=125)
