@@ -39,8 +39,6 @@ from .signal_core import (
     ChunkIndex,
     ChunkingConfig,
     Waveform,
-    chunk_energy_db,
-    is_active,
     make_chunks,
 )
 from .synth import MixtureExample, SyntheticSpeaker, gen_example, make_corpus, make_speakers

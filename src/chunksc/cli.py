@@ -288,17 +288,18 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
         weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
     )
+    warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
+    tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
     corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration)
     validation = make_corpus(args.val_size, seed=args.seed + 1000, duration_s=args.duration)
 
-    def stage(kind, lr, epochs, params):
-        cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch=args.batch, seed=args.seed)
+    def stage(kind, cfg, params):
         return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params)
 
-    warm, history = stage(LossKind.PLAIN, args.lr, args.warmup_epochs, init_params(args.seed))
+    warm, history = stage(LossKind.PLAIN, warm_cfg, init_params(args.seed))
     yield None, warm, history
     for kind in kinds:
-        yield (kind, *stage(kind, finetune_lr, finetune_epochs, warm))
+        yield (kind, *stage(kind, tune_cfg, warm))
 
 
 def _renumber(history, offset):

@@ -21,18 +21,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionMismatch, DivergenceDetected, NoValidChunks
-from .losses import (
-    LossKind,
-    LossResult,
-    ScaleLossConfig,
-    WeightLossConfig,
-    loss_scale_sisdr,
-    loss_sisdr,
-    loss_weight_sisdr,
-)
-from .metrics import BinEdges, SiSdrConfig, distribution_report, sc_statistics, si_sdr_improvement
-from .signal_core import ActivityConfig, ChunkingConfig, Waveform, make_chunks
+from .errors import DimensionMismatch, DivergenceDetected
+from .losses import LossResult, LossSetup, compute_loss
+from .metrics import distribution_report, sc_statistics, si_sdr_improvement
+from .signal_core import ChunkingConfig, Waveform, make_chunks
 from .synth import MixtureExample
 
 FRAME_SIZE = 64
@@ -156,39 +148,9 @@ def forward(p: ToyExtractorParams, mixture: Waveform, enrollment: Waveform) -> W
     return Waveform(est, mixture.sample_rate)
 
 
-@dataclass(frozen=True)
-class LossSetup:
-    """Every scoring and loss setting: which loss to train, and the chunking,
-    activity gate, clamp and class bins it shares with the r_scr metric."""
-
-    loss_kind: LossKind = LossKind.PLAIN
-    chunking: ChunkingConfig = ChunkingConfig()
-    activity: ActivityConfig = ActivityConfig()
-    sisdr_cfg: SiSdrConfig = SiSdrConfig()
-    scale_cfg: ScaleLossConfig = ScaleLossConfig()
-    weight_cfg: WeightLossConfig = WeightLossConfig()
-    bins: BinEdges = BinEdges()
-
-
-def evaluate_loss(
-    estimate: Waveform, example: MixtureExample, setup: LossSetup
-) -> LossResult:
-    """Dispatch to the configured loss.
-
-    The weighted loss is undefined when no chunk is active (typical for an
-    untrained model whose output is near silence); it falls back to the plain
-    loss in that case so training can proceed.
-    """
-    if setup.loss_kind is LossKind.PLAIN:
-        return loss_sisdr(estimate, example.target, setup.sisdr_cfg)
-    chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
-    common = (estimate, example.target, example.mixture, chunks, setup.activity, setup.sisdr_cfg)
-    if setup.loss_kind is LossKind.SCALE:
-        return loss_scale_sisdr(*common, setup.scale_cfg, setup.bins)
-    try:
-        return loss_weight_sisdr(*common, setup.bins, setup.weight_cfg)
-    except NoValidChunks:
-        return loss_sisdr(estimate, example.target, setup.sisdr_cfg)
+def evaluate_loss(estimate: Waveform, example: MixtureExample, setup: LossSetup) -> LossResult:
+    """The configured loss of one training example (`losses.compute_loss`)."""
+    return compute_loss(setup, estimate, example.target, example.mixture)
 
 
 def backward(
@@ -246,8 +208,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0 or self.batch < 1:
             raise ValueError("invalid training configuration")
 

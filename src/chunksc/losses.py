@@ -13,6 +13,10 @@ chunks that `r_scr` counts. Each result carries the branch state it was
 computed on (clamp flags, sign, chunk validity, classes), which
 `gradient_check` compares across perturbations.
 
+`compute_loss` is the one dispatch on `LossKind`: training and
+`gradient_check` both go through it, so the harness checks the loss that
+training runs. Its weighted-to-plain fallback is flagged `degenerate`.
+
 The confusion ratio enters the scaled loss as a fraction in [0, 1], keeping
 the scaling factor within [gamma1 - gamma2, gamma1 + gamma2].
 
@@ -25,13 +29,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NoValidChunks
 from .metrics import BinEdges, SiSdrConfig, _score_chunks, _utterance_si_sdr, sc_statistics
-from .signal_core import ActivityConfig, ChunkGrid, Waveform
+from .signal_core import ActivityConfig, ChunkGrid, ChunkingConfig, Waveform, make_chunks
 
 
 class LossKind(enum.Enum):
@@ -62,6 +66,20 @@ class WeightLossConfig:
         w = self.weights
         if len(w) != 4 or not (w[0] >= w[1] >= w[2] >= w[3] > 0):
             raise ValueError("weights must satisfy w0 >= w1 >= w2 >= w3 > 0")
+
+
+@dataclass(frozen=True)
+class LossSetup:
+    """Every scoring and loss setting: which loss to train, and the chunking,
+    activity gate, clamp and class bins it shares with the r_scr metric."""
+
+    loss_kind: LossKind = LossKind.PLAIN
+    chunking: ChunkingConfig = ChunkingConfig()
+    activity: ActivityConfig = ActivityConfig()
+    sisdr_cfg: SiSdrConfig = SiSdrConfig()
+    scale_cfg: ScaleLossConfig = ScaleLossConfig()
+    weight_cfg: WeightLossConfig = WeightLossConfig()
+    bins: BinEdges = BinEdges()
 
 
 @dataclass
@@ -164,6 +182,31 @@ def loss_weight_sisdr(
     )
 
 
+def compute_loss(
+    setup: LossSetup, estimate: Waveform, target: Waveform,
+    mixture: Waveform | None = None, chunks: ChunkGrid | None = None,
+) -> LossResult:
+    """The loss `setup.loss_kind` names, with its gradient.
+
+    The scaled and weighted losses score the chunks of `chunks`, made from
+    `setup.chunking` when not given. The weighted loss is undefined when no
+    chunk is valid (typical for an untrained model whose output is near
+    silence); it then falls back to the plain loss, flagged `degenerate`, so
+    training can proceed.
+    """
+    if setup.loss_kind is LossKind.PLAIN:
+        return loss_sisdr(estimate, target, setup.sisdr_cfg)
+    if chunks is None:
+        chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
+    common = (estimate, target, mixture, chunks, setup.activity, setup.sisdr_cfg)
+    if setup.loss_kind is LossKind.SCALE:
+        return loss_scale_sisdr(*common, setup.scale_cfg, setup.bins)
+    try:
+        return loss_weight_sisdr(*common, setup.bins, setup.weight_cfg)
+    except NoValidChunks:
+        return replace(loss_sisdr(estimate, target, setup.sisdr_cfg), degenerate=True)
+
+
 def gradient_check(
     loss_kind: LossKind,
     estimate: Waveform,
@@ -177,26 +220,24 @@ def gradient_check(
     wcfg: WeightLossConfig = WeightLossConfig(),
     fd_step: float = 1e-6,
 ) -> float:
-    """Max relative error of the analytic gradient vs central differences.
+    """Max relative error of the analytic gradient of `compute_loss` vs
+    central differences.
 
     Coordinates where a perturbation of +-fd_step crosses a branch boundary
-    (clamp edge, scaling-factor branch, bin edge, activity flip) are skipped:
-    the loss is non-differentiable there and finite differences are
-    meaningless. Returns 0.0 if every coordinate was skipped.
+    (clamp edge, scaling-factor branch, bin edge, activity flip, fallback)
+    are skipped: the loss is non-differentiable there and finite differences
+    are meaningless. Returns 0.0 if every coordinate was skipped.
     """
     if len(estimate) > 512:
         raise ValueError("gradient_check is limited to signals of <= 512 samples")
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
 
+    setup = LossSetup(loss_kind, activity=activity, sisdr_cfg=sisdr_cfg,
+                      scale_cfg=scale_cfg, weight_cfg=wcfg, bins=bins)
+
     def loss_at(samples):
-        est = Waveform(samples, target.sample_rate)
-        if loss_kind is LossKind.PLAIN:
-            return loss_sisdr(est, target, sisdr_cfg)
-        common = (est, target, mixture, chunks, activity, sisdr_cfg)
-        if loss_kind is LossKind.SCALE:
-            return loss_scale_sisdr(*common, scale_cfg, bins)
-        return loss_weight_sisdr(*common, bins, wcfg)
+        return compute_loss(setup, Waveform(samples, target.sample_rate), target, mixture, chunks)
 
     base = estimate.samples
     analytic = loss_at(base).grad_estimate

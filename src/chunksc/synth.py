@@ -91,8 +91,8 @@ def gen_example(
     """
     if spk_a.id == spk_b.id:
         raise SameSpeaker(f"target and interferer share speaker id {spk_a.id}")
-    if duration_s < 1.0:
-        raise ValueError("duration_s must be >= 1.0")
+    if not 1.0 <= duration_s < np.inf:
+        raise ValueError(f"duration_s must be finite and >= 1.0, got {duration_s}")
     rng = np.random.default_rng(seed)
     target = render_utterance(spk_a, duration_s, sample_rate, rng)
     interferer = render_utterance(spk_b, duration_s, sample_rate, rng)

@@ -305,6 +305,24 @@ class TestTrain:
         out = tmp_path / "w"
         assert main(train_args(str(out), extra=("--loss", "weight"))) == 0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lr", "nan"], "learning_rate"),
+            (["--lr", "inf"], "learning_rate"),
+            (["--finetune-lr", "nan", "--warmup-epochs", "1"], "learning_rate"),
+            (["--duration", "inf"], "duration_s"),
+            (["--duration", "nan"], "duration_s"),
+        ],
+        ids=["lr-nan", "lr-inf", "finetune-lr-nan", "duration-inf", "duration-nan"],
+    )
+    def test_non_finite_setting_exits_2_before_training(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        assert main(train_args(str(out), extra=flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not (out / "history.csv").exists()
+
 
 class TestCompare:
     def test_smoke_run_shares_warmup(self, tmp_path):

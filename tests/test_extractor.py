@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 
 from chunksc import (
+    ActivityConfig,
+    BinEdges,
+    ChunkingConfig,
     DimensionMismatch,
     DivergenceDetected,
     LossKind,
+    ScaleLossConfig,
+    SiSdrConfig,
     Waveform,
+    WeightLossConfig,
     chunkwise_sisdri,
+    gradient_check,
+    losses,
     make_chunks,
     make_speakers,
     si_sdr,
@@ -31,8 +39,8 @@ from chunksc.extractor import (
     save_checkpoint,
     train,
 )
-from chunksc.signal_core import is_active
-from chunksc.synth import gen_example, make_corpus
+from chunksc.signal_core import active_mask
+from chunksc.synth import MixtureExample, gen_example, make_corpus
 
 SPEAKERS = make_speakers(8, seed=0)
 EXAMPLE = gen_example(SPEAKERS[0], SPEAKERS[1], 2.0, 0.0, seed=42)
@@ -133,9 +141,15 @@ def plain_signature(est, ex, setup):
     return (abs(v) >= setup.sisdr_cfg.clamp_db,)
 
 
+def chunk_energies(w, chunks):
+    """Sum of squares of w over each chunk."""
+    return np.array([np.dot(w.samples[c.start:c.end], w.samples[c.start:c.end]) for c in chunks])
+
+
 def weight_signature(est, ex, setup):
     chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
-    active = tuple(is_active(ex.target, est, idx, setup.activity) for idx in chunks)
+    mask = active_mask(chunk_energies(ex.target, chunks), chunk_energies(est, chunks), setup.activity)
+    active = tuple(mask.tolist())
     vals = chunkwise_sisdri(est, ex.target, ex.mixture, chunks, setup.sisdr_cfg)
     classes = tuple(
         setup.bins.classify(float(v))
@@ -209,7 +223,7 @@ class TestBackward:
 
     def test_weight_loss_falls_back_when_output_silent(self):
         # A closed mask produces near-silence, no chunk is active, and the
-        # weighted objective silently defers to the plain one.
+        # weighted objective defers to the plain one, flagged degenerate.
         p = init_params(0)
         p.mask_b2 = np.full(64, -800.0)
         p.mask_w2 = np.zeros_like(p.mask_w2)
@@ -218,6 +232,42 @@ class TestBackward:
         res = evaluate_loss(est, EXAMPLE, setup)
         plain = evaluate_loss(est, EXAMPLE, LossSetup(loss_kind=LossKind.PLAIN))
         assert res.value == plain.value
+        assert res.degenerate
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_gradient_check_checks_the_loss_training_runs(self, monkeypatch, kind):
+        rng = np.random.default_rng(17)
+        t = rng.normal(size=256)
+        ex = MixtureExample(
+            mixture=Waveform(t + rng.normal(size=256), 8000),
+            target=Waveform(t, 8000),
+            interferer=Waveform(rng.normal(size=256), 8000),
+            enrollment=Waveform(rng.normal(size=256), 8000),
+            target_id=0,
+        )
+        noise = 0.8 * rng.normal(size=256)
+        noise[:64] = 0.0  # the first chunk is perfect, so its SI-SDR is clamped
+        est = Waveform(t + noise, 8000)
+        setup = LossSetup(
+            loss_kind=kind,
+            chunking=ChunkingConfig(8, 4),
+            activity=ActivityConfig(eta_db=12.0),
+            sisdr_cfg=SiSdrConfig(clamp_db=40.0),
+            scale_cfg=ScaleLossConfig(gamma1=2.0, gamma2=0.5),
+            weight_cfg=WeightLossConfig(weights=(4.0, 3.0, 2.0, 0.5)),
+            bins=BinEdges((-4.0, 0.0, 4.0)),
+        )
+        checked = []
+        real = losses.compute_loss
+        monkeypatch.setattr(losses, "compute_loss", lambda *a: checked.append(real(*a)) or checked[-1])
+        chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
+        gradient_check(
+            kind, est, ex.target, ex.mixture, chunks, setup.activity, setup.sisdr_cfg,
+            setup.scale_cfg, setup.bins, setup.weight_cfg,
+        )
+        trained = evaluate_loss(est, ex, setup)
+        assert checked[0].value == trained.value
+        assert np.array_equal(checked[0].grad_estimate, trained.grad_estimate)
 
 
 class TestTraining:

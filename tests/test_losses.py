@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chunksc import (
+    ActivityConfig,
     ChunkingConfig,
     LossKind,
     NoValidChunks,
@@ -271,6 +272,16 @@ class TestLossWeightSisdr:
 
 
 class TestGradientCheckHarness:
+    def test_weight_checks_the_plain_fallback_when_no_chunk_is_valid(self):
+        e, t, m, chunks = random_instance(7)
+        quiet_gate = ActivityConfig(eta_db=60.0)  # above every chunk of these signals
+        with pytest.raises(NoValidChunks):
+            loss_weight_sisdr(e, t, m, chunks, quiet_gate)
+        step = FD_STEP[LossKind.PLAIN]
+        err = gradient_check(LossKind.WEIGHT, e, t, m, chunks, quiet_gate, fd_step=step)
+        assert err < 1e-5
+        assert err == gradient_check(LossKind.PLAIN, e, t, m, chunks, quiet_gate, fd_step=step)
+
     def test_rejects_long_signals(self):
         rng = np.random.default_rng(8)
         t = rng.normal(size=600)
