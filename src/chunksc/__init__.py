@@ -24,7 +24,6 @@ from .losses import (
 )
 from .metrics import (
     BinEdges,
-    DistributionReport,
     ScStatistics,
     SiSdrConfig,
     chunkwise_sisdri,

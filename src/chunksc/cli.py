@@ -182,38 +182,25 @@ def _read_manifest(path: str) -> list[tuple[str, str, str]]:
     return rows
 
 
-def _load_triple(row, row_num):
-    est, tgt, mix = (read_wav(p) for p in row)
-    if not (len(est) == len(tgt) == len(mix)):
-        raise ValueError(f"manifest row {row_num}: sample counts differ")
-    if not (est.sample_rate == tgt.sample_rate == mix.sample_rate):
-        raise ValueError(f"manifest row {row_num}: sample rates differ")
-    return est, tgt, mix
-
-
 def _evaluate_manifest(args):
     setup = _loss_setup(args, args.hop_ms if args.eval_hop == "overlap" else args.chunk_ms)
     rows = _read_manifest(args.manifest)
     report = []
     for n, row in enumerate(rows, start=1):
         try:
-            est, tgt, mix = _load_triple(row, n)
+            est, tgt, mix = (read_wav(p) for p in row)
+            # scored before chunking, so si_sdr's check reports a mismatch;
+            # sisdri is si_sdr_improvement without scoring the estimate twice
+            score = si_sdr(est, tgt, setup.sisdr_cfg)
+            sisdri = score - si_sdr(mix, tgt, setup.sisdr_cfg)
             chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
             stats = sc_statistics(
                 est, tgt, mix, chunks, setup.activity, setup.sisdr_cfg, setup.bins
             )
-            score = si_sdr(est, tgt, setup.sisdr_cfg)
-            report.append(
-                {
-                    "id": os.path.splitext(os.path.basename(row[0]))[0],
-                    "si_sdr": score,
-                    # si_sdr_improvement, without scoring the estimate twice
-                    "si_sdri": score - si_sdr(mix, tgt, setup.sisdr_cfg),
-                    "stats": stats,
-                }
-            )
         except (OSError, ValueError, ChunkscError) as exc:
             raise ValueError(f"manifest row {n} ({row[0]}): {exc}") from exc
+        name = os.path.splitext(os.path.basename(row[0]))[0]
+        report.append({"id": name, "si_sdr": score, "si_sdri": sisdri, "stats": stats})
     return report
 
 
@@ -270,7 +257,7 @@ def cmd_distribution(args) -> int:
     report = _evaluate_manifest(args)
     agg = distribution_report([r["stats"] for r in report])
     columns = ["s0", "s1", "s2", "s3", "sc_s0", "sc_s1", "n_valid", "n_sc"]
-    rows = [[*agg.class_freq, *agg.sc_class_freq, agg.n_valid, agg.n_sc]]
+    rows = [[*agg.class_freq, *agg.class_freq[:2], agg.n_valid, agg.n_sc]]
     _write_report(args.out, args.format, _effective_config(args), columns, rows)
     return 0
 
@@ -278,10 +265,12 @@ def cmd_distribution(args) -> int:
 def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     """The warm-up/fine-tune sequence of `train` and `compare`.
 
-    Yields (kind, params, history): first (None, ...) for the plain-loss
-    warm-up of --warmup-epochs at --lr from the seed's initialization, then
-    one fine-tune per loss kind, each starting from the warm-up parameters.
-    A DivergenceDetected propagates from the stage that diverged.
+    Checks every setting and builds both corpora at once, then returns an
+    iterator of (kind, params, history): first (None, ...) for the
+    plain-loss warm-up of --warmup-epochs at --lr from the seed's
+    initialization, then one fine-tune per loss kind, each starting from the
+    warm-up parameters. A DivergenceDetected propagates from the stage that
+    diverged.
     """
     setup = replace(
         _loss_setup(args, args.hop_ms),
@@ -296,10 +285,13 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     def stage(kind, cfg, params):
         return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params)
 
-    warm, history = stage(LossKind.PLAIN, warm_cfg, init_params(args.seed))
-    yield None, warm, history
-    for kind in kinds:
-        yield (kind, *stage(kind, tune_cfg, warm))
+    def stages():
+        warm, history = stage(LossKind.PLAIN, warm_cfg, init_params(args.seed))
+        yield None, warm, history
+        for kind in kinds:
+            yield (kind, *stage(kind, tune_cfg, warm))
+
+    return stages()
 
 
 def _renumber(history, offset):
@@ -309,11 +301,12 @@ def _renumber(history, offset):
 
 
 def cmd_train(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     finetune_lr = args.finetune_lr if args.warmup_epochs > 0 else args.lr
+    stages = _training_stages(args, [LossKind(args.loss)], finetune_lr, args.epochs)
+    os.makedirs(args.out, exist_ok=True)
     params, history, offset = None, [], 0
     try:
-        for _, params, rows in _training_stages(args, [LossKind(args.loss)], finetune_lr, args.epochs):
+        for _, params, rows in stages:
             history += _renumber(rows, offset)
             offset = args.warmup_epochs
     except DivergenceDetected as exc:
@@ -336,13 +329,12 @@ def _write_train_outputs(args, params, history):
 def cmd_compare(args) -> int:
     if args.finetune_epochs < 1:
         raise ValueError("--finetune-epochs must be at least 1: each loss reports its last epoch")
-    os.makedirs(args.out, exist_ok=True)
     kinds = (LossKind.PLAIN, LossKind.SCALE, LossKind.WEIGHT)
+    stages = _training_stages(args, kinds, args.finetune_lr, args.finetune_epochs)
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     try:
-        for kind, params, history in _training_stages(
-            args, kinds, args.finetune_lr, args.finetune_epochs
-        ):
+        for kind, params, history in stages:
             name = "warmup" if kind is None else kind.value
             path = os.path.join(args.out, f"{name}_checkpoint.json")
             save_checkpoint(path, params)

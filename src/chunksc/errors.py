@@ -40,6 +40,10 @@ class DivergenceDetected(ChunkscError):
         super().__init__(message)
         self.history = history
 
+    def __reduce__(self):
+        # unpickling calls cls(*args), and args holds only the message
+        return type(self), (str(self), self.history)
+
 
 class EmptyInput(ChunkscError):
     """An aggregate was requested over an empty collection."""

@@ -139,11 +139,14 @@ def _forward_cache(p: ToyExtractorParams, mixture: Waveform, enrollment: Wavefor
     zm = z * mask
     y = zm @ p.decoder
     est = y.ravel()[: len(mixture)]
+    if not np.isfinite(est).all():
+        raise DivergenceDetected("non-finite extractor output", [])
     return est, (x, stats, z, cond, q, mu, qn, h, mask, zm)
 
 
 def forward(p: ToyExtractorParams, mixture: Waveform, enrollment: Waveform) -> Waveform:
-    """Run the extractor; output has exactly the mixture's length."""
+    """Run the extractor; output has exactly the mixture's length. A
+    non-finite output raises DivergenceDetected with an empty history."""
     est, _ = _forward_cache(p, mixture, enrollment)
     return Waveform(est, mixture.sample_rate)
 
@@ -258,7 +261,8 @@ def train(
     """Mini-batch SGD with reduce-on-plateau learning-rate halving.
 
     Deterministic in the seed: data order, initialization and every update
-    are reproducible. Raises DivergenceDetected on a non-finite loss.
+    are reproducible. Raises DivergenceDetected, holding the completed
+    epochs, on a non-finite extractor output or loss.
     """
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")
@@ -273,41 +277,43 @@ def train(
     best_val = -np.inf
     stale_epochs = 0
 
-    val_sisdri, val_rscr = evaluate_corpus(params, validation, setup)
-    history.append(HistoryRow(0, float("nan"), val_sisdri, val_rscr))
-
-    param_names = [f.name for f in fields(ToyExtractorParams)]
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(corpus))
-        losses = []
-        for lo in range(0, len(order), cfg.batch):
-            batch = order[lo : lo + cfg.batch]
-            acc = None
-            for i in batch:
-                grads, result = backward(params, corpus[i], setup)
-                if not math.isfinite(result.value):
-                    raise DivergenceDetected(
-                        f"non-finite loss at epoch {epoch}, example {i}", history
-                    )
-                losses.append(result.value)
-                if acc is None:
-                    acc = grads
-                else:
-                    for name in param_names:
-                        getattr(acc, name).__iadd__(getattr(grads, name))
-            scale = lr / len(batch)
-            for name in param_names:
-                getattr(params, name).__isub__(scale * getattr(acc, name))
+    try:
         val_sisdri, val_rscr = evaluate_corpus(params, validation, setup)
-        history.append(HistoryRow(epoch, float(np.mean(losses)), val_sisdri, val_rscr))
-        if val_sisdri > best_val:
-            best_val = val_sisdri
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= LR_HALVING_PATIENCE:
-                lr *= 0.5
+        history.append(HistoryRow(0, float("nan"), val_sisdri, val_rscr))
+
+        param_names = [f.name for f in fields(ToyExtractorParams)]
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(corpus))
+            losses = []
+            for lo in range(0, len(order), cfg.batch):
+                batch = order[lo : lo + cfg.batch]
+                acc = None
+                for i in batch:
+                    grads, result = backward(params, corpus[i], setup)
+                    if not math.isfinite(result.value):
+                        raise DivergenceDetected(f"non-finite loss on example {i}", [])
+                    losses.append(result.value)
+                    if acc is None:
+                        acc = grads
+                    else:
+                        for name in param_names:
+                            getattr(acc, name).__iadd__(getattr(grads, name))
+                scale = lr / len(batch)
+                for name in param_names:
+                    getattr(params, name).__isub__(scale * getattr(acc, name))
+            val_sisdri, val_rscr = evaluate_corpus(params, validation, setup)
+            history.append(HistoryRow(epoch, float(np.mean(losses)), val_sisdri, val_rscr))
+            if val_sisdri > best_val:
+                best_val = val_sisdri
                 stale_epochs = 0
+            else:
+                stale_epochs += 1
+                if stale_epochs >= LR_HALVING_PATIENCE:
+                    lr *= 0.5
+                    stale_epochs = 0
+    except DivergenceDetected as exc:
+        # the epoch that failed is the first one history does not hold
+        raise DivergenceDetected(f"{exc} in epoch {len(history)}", history) from exc
     return params, history
 
 

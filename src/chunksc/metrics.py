@@ -74,9 +74,10 @@ class BinEdges:
 
 @dataclass
 class ScStatistics:
-    """Per-utterance chunkwise speaker-confusion bookkeeping."""
+    """Chunkwise speaker-confusion bookkeeping of one utterance
+    (`sc_statistics`) or of a pooled corpus (`distribution_report`)."""
 
-    chunk_sisdri: np.ndarray  # one value per valid chunk, chunk order
+    chunk_sisdri: np.ndarray  # one value per valid chunk, chunk order (utterance order when pooled)
     n_sc: int
     n_valid: int
     r_scr: float  # percent in [0, 100]
@@ -260,30 +261,20 @@ def sc_statistics(
     )
 
 
-@dataclass
-class DistributionReport:
-    """Corpus-level aggregate of the 4-class chunk distribution."""
-
-    class_freq: tuple[int, int, int, int]
-    class_sum: tuple[float, float, float, float]
-    sc_class_freq: tuple[int, int]  # the two negative classes only
-    n_valid: int
-    n_sc: int
-    r_scr: float  # pooled counts in percent, not a mean of per-utterance ratios
-
-
-def distribution_report(stats: list[ScStatistics]) -> DistributionReport:
-    """Element-wise sum of class frequencies across utterances, and the pooled r_scr."""
+def distribution_report(stats: list[ScStatistics]) -> ScStatistics:
+    """The pooled statistics of a corpus: every utterance's valid values joined
+    in utterance order, the counts and class sums added, and r_scr from the
+    pooled counts (not a mean of per-utterance ratios)."""
     if not stats:
         raise EmptyInput("distribution_report needs at least one utterance")
-    freq = np.sum([s.class_freq for s in stats], axis=0, dtype=int)
     n_valid = sum(s.n_valid for s in stats)
     n_sc = sum(s.n_sc for s in stats)
-    return DistributionReport(
-        class_freq=tuple(int(x) for x in freq),
-        class_sum=tuple(float(x) for x in np.sum([s.class_sum for s in stats], axis=0)),
-        sc_class_freq=(int(freq[0]), int(freq[1])),
-        n_valid=n_valid,
+    return ScStatistics(
+        chunk_sisdri=np.concatenate([s.chunk_sisdri for s in stats]),
         n_sc=n_sc,
+        n_valid=n_valid,
         r_scr=_confusion_ratio(n_sc, n_valid),
+        class_freq=tuple(int(x) for x in np.sum([s.class_freq for s in stats], axis=0, dtype=int)),
+        class_sum=tuple(float(x) for x in np.sum([s.class_sum for s in stats], axis=0)),
+        degenerate=n_valid == 0,
     )

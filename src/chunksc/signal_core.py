@@ -33,6 +33,8 @@ class Waveform:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must be finite")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", samples)

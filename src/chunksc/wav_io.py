@@ -26,7 +26,10 @@ def read_wav(path: str) -> Waveform:
         samples = data.astype(np.float64)
     else:
         raise ValueError(f"{path}: unsupported sample format {data.dtype}")
-    return Waveform(samples, int(rate))
+    try:
+        return Waveform(samples, int(rate))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_wav(path: str, w: Waveform) -> None:

@@ -2,8 +2,20 @@ import json
 
 import pytest
 
-from chunksc import Waveform, make_corpus, metrics, read_wav, si_sdr, si_sdr_improvement, write_wav
+from chunksc import (
+    DivergenceDetected,
+    LossKind,
+    Waveform,
+    cli,
+    make_corpus,
+    metrics,
+    read_wav,
+    si_sdr,
+    si_sdr_improvement,
+    write_wav,
+)
 from chunksc.cli import _evaluate_manifest, main, parse_args
+from chunksc.extractor import HistoryRow
 
 RATE = 8000
 
@@ -118,6 +130,27 @@ class TestEval:
             tmp_path, [("/nonexistent/a.wav", "/nonexistent/b.wav", "/nonexistent/c.wav")]
         )
         assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "name, samples, rate, message",
+        [
+            ("tgt", -1, RATE, "16000 vs 15999 samples"),
+            ("tgt", None, 16000, "8000 Hz vs 16000 Hz"),
+            # shorter than one chunk: the mismatch is reported, not the chunk length
+            ("est", 100, RATE, "100 vs 16000 samples"),
+        ],
+        ids=["length", "rate", "estimate-under-one-chunk"],
+    )
+    def test_mismatched_row_exits_2_naming_row_and_mismatch(
+        self, tmp_path, corpus, capsys, name, samples, rate, message
+    ):
+        manifest = manifest_for(tmp_path, corpus, "mixture")
+        signal = corpus[1].target.samples[:samples]
+        write_wav(str(tmp_path / f"{name}1.wav"), Waveform(signal, rate))
+        assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest row 2 ({tmp_path / 'est1.wav'}): ")
+        assert message in err and err.count("manifest row") == 1
 
     def test_malformed_manifest_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -324,6 +357,39 @@ class TestTrain:
         assert not (out / "history.csv").exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_refused_setting_creates_no_out_directory(self, tmp_path, command):
+        out = tmp_path / "run"
+        args = [command, "--train-size", "4", "--val-size", "2", "--lr", "nan", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+
+    def test_unusable_out_fails_before_any_epoch(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained before --out was made"))
+        assert main(train_args(str(out))) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_divergence_exits_3_with_the_renumbered_history(self, tmp_path, monkeypatch, capsys):
+        real_train = cli.train
+        rows = [HistoryRow(0, float("nan"), 1.5, 40.0), HistoryRow(1, 2.0, 1.75, 30.0)]
+
+        def diverging_finetune(cfg, corpus, validation, setup, params):
+            if setup.loss_kind is LossKind.PLAIN:
+                return real_train(cfg, corpus, validation, setup, params)
+            raise DivergenceDetected("diverged in the fine-tune", rows)
+
+        monkeypatch.setattr(cli, "train", diverging_finetune)
+        out = tmp_path / "run"
+        assert main(train_args(str(out), extra=("--loss", "scale", "--warmup-epochs", "1"))) == 3
+        assert capsys.readouterr().err == "error: diverged in the fine-tune\n"
+        lines = (out / "history.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[2:]] == [0, 1, 1, 2]
+        assert lines[-1] == "2,2.000000,1.750000,30.000000"
+        assert not (out / "checkpoint.json").exists()
+
+
 class TestCompare:
     def test_smoke_run_shares_warmup(self, tmp_path):
         out = tmp_path / "cmp"
@@ -339,6 +405,26 @@ class TestCompare:
         for kind in ("plain", "scale", "weight"):
             assert (out / f"{kind}_checkpoint.json").exists()
             assert (out / f"{kind}_history.csv").exists()
+
+    def test_divergence_exits_3_after_the_stages_before_it(self, tmp_path, monkeypatch, capsys):
+        real_train = cli.train
+
+        def diverging_scale(cfg, corpus, validation, setup, params):
+            if setup.loss_kind is LossKind.SCALE:
+                raise DivergenceDetected("scale diverged", [])
+            return real_train(cfg, corpus, validation, setup, params)
+
+        monkeypatch.setattr(cli, "train", diverging_scale)
+        out = tmp_path / "cmp"
+        code = main(
+            ["compare", "--warmup-epochs", "1", "--finetune-epochs", "1",
+             "--train-size", "4", "--val-size", "2", "--out", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: scale diverged\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "plain_checkpoint.json", "plain_history.csv", "warmup_checkpoint.json"
+        ]
 
     def test_zero_finetune_epochs_exits_2_before_training(self, tmp_path, capsys):
         out = tmp_path / "cmp"

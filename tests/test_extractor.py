@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from chunksc import (
     si_sdr,
 )
 from chunksc.extractor import (
+    HistoryRow,
     LossSetup,
     ToyExtractorParams,
     TrainConfig,
@@ -39,6 +41,7 @@ from chunksc.extractor import (
     save_checkpoint,
     train,
 )
+from chunksc import extractor
 from chunksc.signal_core import active_mask
 from chunksc.synth import MixtureExample, gen_example, make_corpus
 
@@ -317,6 +320,36 @@ class TestTraining:
         with pytest.raises(DivergenceDetected) as exc:
             train(cfg, self.CORPUS, self.VAL, start_params=bad)
         assert isinstance(exc.value.history, list)
+
+    # extractor calls, one per forward or backward: 4 validation examples
+    # for epoch 0, then 12 training and 4 validation examples per epoch
+    @pytest.mark.parametrize(
+        "first_bad_call, epochs_done",
+        [(1, []), (5, [0]), (17, [0]), (21, [0, 1])],
+        ids=["epoch0-validation", "epoch1-step", "epoch1-validation", "epoch2-step"],
+    )
+    def test_non_finite_estimate_reports_the_completed_epochs(
+        self, monkeypatch, first_bad_call, epochs_done
+    ):
+        calls, expit = [], extractor.expit
+
+        def poisoned(a):
+            calls.append(None)
+            return expit(a) * (np.nan if len(calls) >= first_bad_call else 1.0)
+
+        monkeypatch.setattr(extractor, "expit", poisoned)
+        cfg = TrainConfig(epochs=3, learning_rate=0.1, seed=0)
+        with pytest.raises(DivergenceDetected, match="non-finite extractor output") as exc:
+            train(cfg, self.CORPUS, self.VAL)
+        assert [row.epoch for row in exc.value.history] == epochs_done
+        assert str(exc.value).endswith(f"in epoch {len(epochs_done)}")
+
+    def test_divergence_survives_pickling(self):
+        rows = [HistoryRow(0, float("nan"), 1.25, 50.0)]
+        back = pickle.loads(pickle.dumps(DivergenceDetected("diverged", rows)))
+        assert isinstance(back, DivergenceDetected)
+        assert str(back) == "diverged"
+        assert history_to_csv(back.history) == history_to_csv(rows)  # NaN-safe
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

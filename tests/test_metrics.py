@@ -289,7 +289,6 @@ class TestDistributionReport:
         s = self.stats_for(10)
         rep = distribution_report([s])
         assert rep.class_freq == s.class_freq
-        assert rep.sc_class_freq == (s.class_freq[0], s.class_freq[1])
         assert rep.n_valid == s.n_valid and rep.n_sc == s.n_sc
 
     def test_pooling_is_elementwise_addition(self):
@@ -312,6 +311,9 @@ class TestDistributionReport:
             freq[b.classify(float(v))] += 1
         assert rep.class_freq == tuple(freq)
         assert rep.n_sc == int(np.sum(all_vals < 0))
+        assert isinstance(rep, ScStatistics)
+        assert np.array_equal(rep.chunk_sisdri, all_vals)
+        assert rep.degenerate is (rep.n_valid == 0) and not rep.degenerate
 
     @staticmethod
     def with_counts(n_sc, n_valid):
@@ -331,6 +333,10 @@ class TestDistributionReport:
 
     def test_r_scr_is_zero_when_no_chunk_is_valid(self):
         assert distribution_report([self.with_counts(0, 0)]).r_scr == 0.0
+
+    def test_no_valid_chunk_in_the_corpus_is_degenerate(self):
+        rep = distribution_report([self.with_counts(0, 0), self.with_counts(0, 0)])
+        assert rep.degenerate and rep.n_valid == 0 and rep.chunk_sisdri.size == 0
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyInput):

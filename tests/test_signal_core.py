@@ -165,3 +165,10 @@ class TestWaveform:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             Waveform(np.ones(4), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        x = np.ones(16)
+        x[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Waveform(x, 8000)

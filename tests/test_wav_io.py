@@ -37,3 +37,12 @@ def test_unsupported_dtype_rejected(tmp_path):
     wavfile.write(path, 8000, np.zeros(100, dtype=np.uint8))
     with pytest.raises(ValueError):
         read_wav(path)
+
+
+def test_non_finite_float_samples_rejected_with_the_path(tmp_path):
+    path = str(tmp_path / "nan.wav")
+    data = np.zeros(100, dtype=np.float32)
+    data[3] = np.nan
+    wavfile.write(path, 8000, data)
+    with pytest.raises(ValueError, match="nan.wav: samples must be finite"):
+        read_wav(path)
