@@ -6,6 +6,7 @@ from .errors import (
     DimensionMismatch,
     DivergenceDetected,
     EmptyInput,
+    FineTuneLost,
     InvalidHop,
     LengthMismatch,
     NoValidChunks,

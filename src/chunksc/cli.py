@@ -1,7 +1,8 @@
 """Command-line surface: corpus evaluation, SC distribution reporting,
 toy training and loss-scheme comparison.
 
-Exit codes: 0 success, 2 input error, 3 numerical divergence. Config
+Exit codes: 0 success, 1 a fine-tune process that ended without a result,
+2 input error, 3 numerical divergence. Config
 precedence is flags > config file > defaults; the effective config is echoed
 as a comment header into every output file.
 """
@@ -10,16 +11,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
 import os
+import signal
 import sys
+from contextlib import closing
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from .errors import ChunkscError, DivergenceDetected
+from .errors import ChunkscError, DivergenceDetected, FineTuneLost
 from .extractor import (
     LossSetup,
     TrainConfig,
@@ -165,18 +172,20 @@ def _loss_setup(args, hop_ms: float) -> LossSetup:
     )
 
 
-def _read_manifest(path: str) -> list[tuple[str, str, str]]:
+def _read_manifest(path: str) -> list[tuple[int, tuple[str, str, str]]]:
+    """The (file line, (estimate, target, mixture)) of each data row; the
+    line counts the header and comment lines, as an editor shows it."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for i, row in enumerate(reader):
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            if i == 0 and row == ["estimate", "target", "mixture"]:
+            if not rows and row == ["estimate", "target", "mixture"]:
                 continue
             if len(row) != 3:
-                raise ValueError(f"manifest row {i + 1}: expected 3 paths, got {len(row)}")
-            rows.append((row[0].strip(), row[1].strip(), row[2].strip()))
+                raise ValueError(f"manifest line {reader.line_num}: expected 3 paths, got {len(row)}")
+            rows.append((reader.line_num, (row[0].strip(), row[1].strip(), row[2].strip())))
     if not rows:
         raise ValueError("manifest is empty")
     return rows
@@ -184,9 +193,8 @@ def _read_manifest(path: str) -> list[tuple[str, str, str]]:
 
 def _evaluate_manifest(args):
     setup = _loss_setup(args, args.hop_ms if args.eval_hop == "overlap" else args.chunk_ms)
-    rows = _read_manifest(args.manifest)
     report = []
-    for n, row in enumerate(rows, start=1):
+    for line, row in _read_manifest(args.manifest):
         try:
             est, tgt, mix = (read_wav(p) for p in row)
             # scored before chunking, so si_sdr's check reports a mismatch;
@@ -198,7 +206,7 @@ def _evaluate_manifest(args):
                 est, tgt, mix, chunks, setup.activity, setup.sisdr_cfg, setup.bins
             )
         except (OSError, ValueError, ChunkscError) as exc:
-            raise ValueError(f"manifest row {n} ({row[0]}): {exc}") from exc
+            raise ValueError(f"manifest line {line} ({row[0]}): {exc}") from exc
         name = os.path.splitext(os.path.basename(row[0]))[0]
         report.append({"id": name, "si_sdr": score, "si_sdri": sisdri, "stats": stats})
     return report
@@ -265,12 +273,25 @@ def cmd_distribution(args) -> int:
 def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     """The warm-up/fine-tune sequence of `train` and `compare`.
 
-    Checks every setting and builds both corpora at once, then returns an
-    iterator of (kind, params, history): first (None, ...) for the
+    Checks every setting and builds both corpora at once, then returns a
+    generator of (kind, params, history): first (None, ...) for the
     plain-loss warm-up of --warmup-epochs at --lr from the seed's
-    initialization, then one fine-tune per loss kind, each starting from the
-    warm-up parameters. A DivergenceDetected propagates from the stage that
-    diverged.
+    initialization, then one fine-tune per loss kind in `kinds` order, each
+    starting from the warm-up parameters.
+
+    The fine-tunes are independent, so each runs in its own forked process.
+    The first ones start as soon as the warm-up is done, before the warm-up
+    stage is yielded, and as many at once as `_fine_tunes_at_once` allows;
+    each later one starts when a result has arrived. Fork hands every child
+    the corpora, the settings and the warm-up parameters without pickling
+    them, and OpenBLAS, which has threads at that point, restarts them in
+    the child. A child sends back only its (params, history) or its
+    exception. Results are yielded in `kinds` order whatever order the
+    children finish in, so every output is the same as from one process. A
+    DivergenceDetected propagates from the first stage in that order that
+    diverged, and a child that ends without sending a whole result raises
+    FineTuneLost. Closing the generator, or an error from it, terminates
+    and joins every child still running.
     """
     setup = replace(
         _loss_setup(args, args.hop_ms),
@@ -287,11 +308,98 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
 
     def stages():
         warm, history = stage(LossKind.PLAIN, warm_cfg, init_params(args.seed))
-        yield None, warm, history
-        for kind in kinds:
-            yield (kind, *stage(kind, tune_cfg, warm))
+        # fork, not spawn: a spawned child would need the corpora pickled
+        context = multiprocessing.get_context("fork")
+        children = []
+
+        def start(kind):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_send_result, args=(sender, partial(stage, kind, tune_cfg, warm)),
+                name=f"chunksc-{kind.value}", daemon=True,
+            )
+            # the parent closes its copy of the sender, so that recv sees
+            # end-of-file once the child has ended
+            with sender:
+                child.start()
+            children.append((kind, child, receiver))
+
+        at_once = _fine_tunes_at_once(len(kinds))
+        try:
+            for kind in kinds[:at_once]:
+                start(kind)
+            yield None, warm, history
+            for i, (kind, child, receiver) in enumerate(children):
+                try:
+                    ok, result = receiver.recv()
+                except (EOFError, OSError):  # OSError: it ended mid-message
+                    child.join()
+                    raise FineTuneLost(
+                        f"the {kind.value} fine-tune process ended with exit code "
+                        f"{child.exitcode} before sending a result"
+                    ) from None
+                if not ok:
+                    raise result
+                if i + at_once < len(kinds):
+                    start(kinds[i + at_once])
+                yield (kind, *result)
+        finally:
+            for _, child, receiver in children:
+                child.terminate()  # a child that has ended is left as it is
+                child.join()
+                receiver.close()
 
     return stages()
+
+
+def _fine_tunes_at_once(n: int) -> int:
+    """How many of `n` fine-tune processes may run at once.
+
+    With a single-threaded BLAS, all of them: the OS shares the cores. A
+    multi-threaded OpenBLAS spins its worker threads while they wait, so
+    children that share cores slow every small matmul: 3 children with 2
+    BLAS threads each on 2 cores ran a reduced `compare` 3.5x slower than
+    one process did. The children cannot drop to one BLAS thread instead,
+    because the thread count changes the last bits of a matmul, and with
+    them every output. So each child gets its threads' worth of cores. With
+    an unknown BLAS, one child runs at a time.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        return 1
+    if threads == 1:
+        return n
+    return max(1, min(n, len(os.sched_getaffinity(0)) // threads))
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS loaded into this process, or None if
+    none is found (another BLAS, or no /proc/self/maps to find it by)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+        for path in paths:
+            lib = ctypes.CDLL(path)  # the loaded library, not a second copy
+            for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
+                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                if getter is not None:
+                    return getter()
+    except OSError:
+        pass
+    return None
+
+
+def _send_result(sender, run):
+    """A fine-tune process: send back run()'s (params, history), or the
+    exception it raised, for the parent to raise."""
+    # Ctrl-C reaches the whole process group; the parent alone handles it,
+    # and terminates the children
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        result = (True, run())
+    except Exception as exc:
+        result = (False, exc)
+    sender.send(result)
 
 
 def _renumber(history, offset):
@@ -303,17 +411,18 @@ def _renumber(history, offset):
 def cmd_train(args) -> int:
     finetune_lr = args.finetune_lr if args.warmup_epochs > 0 else args.lr
     stages = _training_stages(args, [LossKind(args.loss)], finetune_lr, args.epochs)
-    os.makedirs(args.out, exist_ok=True)
-    params, history, offset = None, [], 0
-    try:
-        for _, params, rows in stages:
-            history += _renumber(rows, offset)
-            offset = args.warmup_epochs
-    except DivergenceDetected as exc:
-        history += _renumber(exc.history, offset)
-        _write_train_outputs(args, None, history)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with closing(stages):
+        os.makedirs(args.out, exist_ok=True)
+        params, history, offset = None, [], 0
+        try:
+            for _, params, rows in stages:
+                history += _renumber(rows, offset)
+                offset = args.warmup_epochs
+        except DivergenceDetected as exc:
+            history += _renumber(exc.history, offset)
+            _write_train_outputs(args, None, history)
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     _write_train_outputs(args, params, history)
     return 0
 
@@ -331,24 +440,25 @@ def cmd_compare(args) -> int:
         raise ValueError("--finetune-epochs must be at least 1: each loss reports its last epoch")
     kinds = (LossKind.PLAIN, LossKind.SCALE, LossKind.WEIGHT)
     stages = _training_stages(args, kinds, args.finetune_lr, args.finetune_epochs)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    try:
-        for kind, params, history in stages:
-            name = "warmup" if kind is None else kind.value
-            path = os.path.join(args.out, f"{name}_checkpoint.json")
-            save_checkpoint(path, params)
-            if kind is None:
-                with open(path, "rb") as fh:
-                    warm_hash = hashlib.sha256(fh.read()).hexdigest()
-                continue
-            final = history[-1]
-            rows.append([name, warm_hash, final.val_sisdri, final.val_rscr])
-            with open(os.path.join(args.out, f"{name}_history.csv"), "w") as fh:
-                fh.write(history_to_csv(history))
-    except DivergenceDetected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with closing(stages):
+        os.makedirs(args.out, exist_ok=True)
+        rows = []
+        try:
+            for kind, params, history in stages:
+                name = "warmup" if kind is None else kind.value
+                path = os.path.join(args.out, f"{name}_checkpoint.json")
+                save_checkpoint(path, params)
+                if kind is None:
+                    with open(path, "rb") as fh:
+                        warm_hash = hashlib.sha256(fh.read()).hexdigest()
+                    continue
+                final = history[-1]
+                rows.append([name, warm_hash, final.val_sisdri, final.val_rscr])
+                with open(os.path.join(args.out, f"{name}_history.csv"), "w") as fh:
+                    fh.write(history_to_csv(history))
+        except DivergenceDetected as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     columns = ["loss", "warmup_sha256", "final_val_sisdri", "final_val_rscr"]
     path = os.path.join(args.out, "comparison.csv")
     _write_report(path, "csv", _effective_config(args), columns, rows)
@@ -365,6 +475,9 @@ def main(argv=None) -> int:
                 "compare": cmd_compare}
     try:
         return commands[args.command](args)
+    except FineTuneLost as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError, ChunkscError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,5 +45,9 @@ class DivergenceDetected(ChunkscError):
         return type(self), (str(self), self.history)
 
 
+class FineTuneLost(ChunkscError):
+    """A fine-tune process ended without sending back its result or its error."""
+
+
 class EmptyInput(ChunkscError):
     """An aggregate was requested over an empty collection."""

@@ -1,11 +1,20 @@
 import json
+import multiprocessing
+import os
+import signal
+import time
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
 from chunksc import (
+    ChunkingConfig,
     DivergenceDetected,
     LossKind,
+    ScaleLossConfig,
     Waveform,
+    WeightLossConfig,
     cli,
     make_corpus,
     metrics,
@@ -15,7 +24,15 @@ from chunksc import (
     write_wav,
 )
 from chunksc.cli import _evaluate_manifest, main, parse_args
-from chunksc.extractor import HistoryRow
+from chunksc.extractor import (
+    HistoryRow,
+    LossSetup,
+    TrainConfig,
+    history_to_csv,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 RATE = 8000
 
@@ -149,13 +166,28 @@ class TestEval:
         write_wav(str(tmp_path / f"{name}1.wav"), Waveform(signal, rate))
         assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: manifest row 2 ({tmp_path / 'est1.wav'}): ")
-        assert message in err and err.count("manifest row") == 1
+        assert err.startswith(f"error: manifest line 3 ({tmp_path / 'est1.wav'}): ")
+        assert message in err and err.count("manifest line") == 1
 
     def test_malformed_manifest_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("only,two\n")
         assert main(["eval", "--manifest", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_malformed_row_is_named_by_its_file_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("estimate,target,mixture\n# one triple\ne.wav,t.wav,m.wav\nonly,two\n")
+        assert main(["eval", "--manifest", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == "error: manifest line 4: expected 3 paths, got 2\n"
+
+    def test_header_after_a_comment_is_skipped(self, tmp_path, corpus):
+        manifest_for(tmp_path, corpus, "target")
+        triples = [tuple(str(tmp_path / f"{s}{i}.wav") for s in ("est", "tgt", "mix")) for i in range(3)]
+        manifest = write_manifest(tmp_path, triples, header=True, comment=True)
+        out = tmp_path / "r.csv"
+        assert main(["eval", "--manifest", manifest, "--out", str(out)]) == 0
+        _, rows = read_report_csv(str(out))
+        assert [r[0] for r in rows] == ["est0", "est1", "est2", "summary"]
 
     def test_empty_manifest_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -390,6 +422,29 @@ class TestTrain:
         assert not (out / "checkpoint.json").exists()
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail the test, rather than hang the suite, if the block outlasts `seconds`."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def compare_args(out, *extra):
+    return [
+        "compare", "--warmup-epochs", "1", "--finetune-epochs", "1",
+        "--train-size", "4", "--val-size", "2", "--out", str(out), *extra,
+    ]
+
+
 class TestCompare:
     def test_smoke_run_shares_warmup(self, tmp_path):
         out = tmp_path / "cmp"
@@ -435,3 +490,72 @@ class TestCompare:
         assert code == 2
         assert "--finetune-epochs" in capsys.readouterr().err
         assert not (out / "warmup_checkpoint.json").exists()
+
+    def test_each_fine_tune_matches_an_in_process_train_byte_for_byte(self, tmp_path):
+        out = tmp_path / "cmp"
+        extra = ("--finetune-epochs", "2", "--seed", "3", "--weights", "4,3,2,1", "--gamma2", "2.5")
+        assert main(compare_args(out, *extra)) == 0
+        warm = load_checkpoint(str(out / "warmup_checkpoint.json"))
+        setup = LossSetup(
+            chunking=ChunkingConfig(chunk_len_ms=250.0, hop_ms=125.0),
+            scale_cfg=ScaleLossConfig(gamma1=1.0, gamma2=2.5),
+            weight_cfg=WeightLossConfig(weights=(4.0, 3.0, 2.0, 1.0)),
+        )
+        tune_cfg = TrainConfig(learning_rate=0.0002, epochs=2, batch=8, seed=3)
+        corpus, validation = make_corpus(4, seed=3), make_corpus(2, seed=1003)
+        for kind in LossKind:
+            params, history = train(tune_cfg, corpus, validation, replace(setup, loss_kind=kind), warm)
+            assert (out / f"{kind.value}_history.csv").read_text() == history_to_csv(history)
+            save_checkpoint(str(tmp_path / "expected.json"), params)
+            expected = (tmp_path / "expected.json").read_bytes()
+            assert (out / f"{kind.value}_checkpoint.json").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "blas_threads, cores, at_once",
+        [(1, 2, 3), (1, 1, 3), (2, 2, 1), (None, 8, 1), (2, 8, 3), (4, 8, 2), (16, 8, 1)],
+    )
+    def test_fine_tunes_at_once_leave_each_its_blas_threads(
+        self, monkeypatch, blas_threads, cores, at_once
+    ):
+        monkeypatch.setattr(cli, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert cli._fine_tunes_at_once(3) == at_once
+
+    def test_no_fine_tune_process_outlives_the_command(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_blas_threads", lambda: 1)  # all three at once
+        assert main(compare_args(tmp_path / "ok")) == 0
+        assert multiprocessing.active_children() == []
+        real_train = cli.train
+
+        def plain_diverges_while_the_others_run(cfg, corpus, validation, setup, params):
+            if cfg.epochs == 1:  # the warm-up
+                return real_train(cfg, corpus, validation, setup, params)
+            if setup.loss_kind is LossKind.PLAIN:
+                raise DivergenceDetected("plain diverged", [])
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "train", plain_diverges_while_the_others_run)
+        with deadline(30):
+            assert main(compare_args(tmp_path / "diverged", "--finetune-epochs", "2")) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_a_fine_tune_process_that_dies_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
+        real_train = cli.train
+
+        def weight_dies(cfg, corpus, validation, setup, params):
+            if setup.loss_kind is LossKind.WEIGHT:
+                os._exit(9)
+            return real_train(cfg, corpus, validation, setup, params)
+
+        monkeypatch.setattr(cli, "train", weight_dies)
+        out = tmp_path / "cmp"
+        with deadline(30):
+            assert main(compare_args(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: the weight fine-tune process ended with exit code 9 before sending a result\n"
+        )
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "plain_checkpoint.json", "plain_history.csv",
+            "scale_checkpoint.json", "scale_history.csv", "warmup_checkpoint.json",
+        ]
