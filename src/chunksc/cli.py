@@ -1,8 +1,8 @@
 """Command-line surface: corpus evaluation, SC distribution reporting,
 toy training and loss-scheme comparison.
 
-Exit codes: 0 success, 1 a fine-tune process that ended without a result,
-2 input error, 3 numerical divergence. Config
+Exit codes: 0 success, 1 a fine-tune process that could not be forked or
+ended without a result, 2 input error, 3 numerical divergence. Config
 precedence is flags > config file > defaults; the effective config is echoed
 as a comment header into every output file.
 """
@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import signal
 import sys
+import traceback
 from contextlib import closing
 from dataclasses import replace
 from functools import partial
@@ -280,16 +281,17 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     starting from the warm-up parameters.
 
     The fine-tunes are independent, so each runs in its own forked process.
-    The first ones start as soon as the warm-up is done, before the warm-up
-    stage is yielded, and as many at once as `_fine_tunes_at_once` allows;
-    each later one starts when a result has arrived. Fork hands every child
-    the corpora, the settings and the warm-up parameters without pickling
-    them, and OpenBLAS, which has threads at that point, restarts them in
-    the child. A child sends back only its (params, history) or its
-    exception. Results are yielded in `kinds` order whatever order the
-    children finish in, so every output is the same as from one process. A
-    DivergenceDetected propagates from the first stage in that order that
-    diverged, and a child that ends without sending a whole result raises
+    They start as soon as the warm-up is done, before the warm-up stage is
+    yielded: all at once with a single-threaded OpenBLAS, otherwise one at a
+    time, each when the result before it has arrived (`_fine_tunes_at_once`).
+    Fork hands every child the corpora, the settings and the warm-up
+    parameters without pickling them, and OpenBLAS, which has threads at
+    that point, restarts them in the child. A child sends back only its (params, history) or its
+    exception, raised from the child's traceback as text. Results are
+    yielded in `kinds` order whatever order the children finish in, so every
+    output is the same as from one process. A DivergenceDetected propagates
+    from the first stage in that order that diverged, and a child that
+    cannot be forked, or ends without sending a whole result, raises
     FineTuneLost. Closing the generator, or an error from it, terminates
     and joins every child still running.
     """
@@ -320,8 +322,14 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
             )
             # the parent closes its copy of the sender, so that recv sees
             # end-of-file once the child has ended
-            with sender:
-                child.start()
+            try:
+                with sender:
+                    child.start()
+            except OSError as exc:  # e.g. EAGAIN: no process could be forked
+                receiver.close()
+                raise FineTuneLost(
+                    f"could not start the {kind.value} fine-tune process: {exc}"
+                ) from None
             children.append((kind, child, receiver))
 
         at_once = _fine_tunes_at_once(len(kinds))
@@ -339,7 +347,8 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
                         f"{child.exitcode} before sending a result"
                     ) from None
                 if not ok:
-                    raise result
+                    error, text = result
+                    raise error from _ChildTraceback(f"in the {kind.value} fine-tune:\n{text}")
                 if i + at_once < len(kinds):
                     start(kinds[i + at_once])
                 yield (kind, *result)
@@ -355,21 +364,15 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
 def _fine_tunes_at_once(n: int) -> int:
     """How many of `n` fine-tune processes may run at once.
 
-    With a single-threaded BLAS, all of them: the OS shares the cores. A
-    multi-threaded OpenBLAS spins its worker threads while they wait, so
-    children that share cores slow every small matmul: 3 children with 2
-    BLAS threads each on 2 cores ran a reduced `compare` 3.5x slower than
-    one process did. The children cannot drop to one BLAS thread instead,
-    because the thread count changes the last bits of a matmul, and with
-    them every output. So each child gets its threads' worth of cores. With
-    an unknown BLAS, one child runs at a time.
+    With a single-threaded OpenBLAS, all of them: the OS shares the cores.
+    Otherwise one at a time. A multi-threaded OpenBLAS spins its worker
+    threads while they wait, so children that share cores slow every small
+    matmul: 3 children with 2 BLAS threads each on 2 cores ran a reduced
+    `compare` 3.5x slower than one process did. The children cannot drop to
+    one BLAS thread instead, because the thread count changes the last bits
+    of a matmul, and with them every output.
     """
-    threads = _blas_threads()
-    if threads is None:
-        return 1
-    if threads == 1:
-        return n
-    return max(1, min(n, len(os.sched_getaffinity(0)) // threads))
+    return n if _blas_threads() == 1 else 1
 
 
 def _blas_threads() -> int | None:
@@ -398,8 +401,13 @@ def _send_result(sender, run):
     try:
         result = (True, run())
     except Exception as exc:
-        result = (False, exc)
+        # the traceback does not pickle, so its text goes along
+        result = (False, (exc, traceback.format_exc()))
     sender.send(result)
+
+
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an error raised in a fine-tune process."""
 
 
 def _renumber(history, offset):

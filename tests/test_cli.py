@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -491,7 +492,12 @@ class TestCompare:
         assert "--finetune-epochs" in capsys.readouterr().err
         assert not (out / "warmup_checkpoint.json").exists()
 
-    def test_each_fine_tune_matches_an_in_process_train_byte_for_byte(self, tmp_path):
+    # 1: the three children run at once; None: one after another
+    @pytest.mark.parametrize("blas_threads", [1, None])
+    def test_each_fine_tune_matches_an_in_process_train_byte_for_byte(
+        self, tmp_path, monkeypatch, blas_threads
+    ):
+        monkeypatch.setattr(cli, "_blas_threads", lambda: blas_threads)
         out = tmp_path / "cmp"
         extra = ("--finetune-epochs", "2", "--seed", "3", "--weights", "4,3,2,1", "--gamma2", "2.5")
         assert main(compare_args(out, *extra)) == 0
@@ -510,15 +516,11 @@ class TestCompare:
             expected = (tmp_path / "expected.json").read_bytes()
             assert (out / f"{kind.value}_checkpoint.json").read_bytes() == expected
 
-    @pytest.mark.parametrize(
-        "blas_threads, cores, at_once",
-        [(1, 2, 3), (1, 1, 3), (2, 2, 1), (None, 8, 1), (2, 8, 3), (4, 8, 2), (16, 8, 1)],
-    )
-    def test_fine_tunes_at_once_leave_each_its_blas_threads(
-        self, monkeypatch, blas_threads, cores, at_once
+    @pytest.mark.parametrize("blas_threads, at_once", [(1, 3), (2, 1), (None, 1)])
+    def test_fine_tunes_run_at_once_only_with_one_blas_thread(
+        self, monkeypatch, blas_threads, at_once
     ):
         monkeypatch.setattr(cli, "_blas_threads", lambda: blas_threads)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
         assert cli._fine_tunes_at_once(3) == at_once
 
     def test_no_fine_tune_process_outlives_the_command(self, tmp_path, monkeypatch):
@@ -559,3 +561,33 @@ class TestCompare:
             "plain_checkpoint.json", "plain_history.csv",
             "scale_checkpoint.json", "scale_history.csv", "warmup_checkpoint.json",
         ]
+
+    def test_an_error_in_a_fine_tune_is_raised_from_its_traceback(self, tmp_path, monkeypatch):
+        real_train = cli.train
+
+        def weight_breaks(cfg, corpus, validation, setup, params):
+            if setup.loss_kind is LossKind.WEIGHT:
+                raise TypeError("broken")
+            return real_train(cfg, corpus, validation, setup, params)
+
+        monkeypatch.setattr(cli, "train", weight_breaks)
+        with deadline(30), pytest.raises(TypeError, match="broken") as info:
+            main(compare_args(tmp_path / "cmp"))
+        cause = str(info.value.__cause__)
+        assert cause.startswith("in the weight fine-tune:\nTraceback (most recent call last):")
+        assert 'in weight_breaks\n    raise TypeError("broken")' in cause
+        assert multiprocessing.active_children() == []
+
+    def test_a_fine_tune_process_that_cannot_be_forked_exits_1_naming_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(compare_args(tmp_path / "cmp")) == 1
+        assert capsys.readouterr().err == (
+            "error: could not start the plain fine-tune process: "
+            "[Errno 11] Resource temporarily unavailable\n"
+        )
+        assert multiprocessing.active_children() == []
