@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import hashlib
-import itertools
 import json
 import math
 import multiprocessing
@@ -280,20 +278,17 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     initialization, then one fine-tune per loss kind in `kinds` order, each
     starting from the warm-up parameters.
 
-    The fine-tunes are independent, so each runs in its own forked process.
-    They start as soon as the warm-up is done, before the warm-up stage is
-    yielded: all at once with a single-threaded OpenBLAS, otherwise one at a
-    time, each when the result before it has arrived (`_fine_tunes_at_once`).
-    Fork hands every child the corpora, the settings and the warm-up
-    parameters without pickling them, and OpenBLAS, which has threads at
-    that point, restarts them in the child. A child sends back only its (params, history) or its
-    exception, raised from the child's traceback as text. Results are
-    yielded in `kinds` order whatever order the children finish in, so every
-    output is the same as from one process. A DivergenceDetected propagates
-    from the first stage in that order that diverged, and a child that
-    cannot be forked, or ends without sending a whole result, raises
-    FineTuneLost. Closing the generator, or an error from it, terminates
-    and joins every child still running.
+    Each fine-tune runs in its own forked process, and all of them start
+    when the warm-up is done, before it is yielded. Fork hands each child
+    the corpora, the settings and the warm-up parameters without pickling.
+    `train` runs on one BLAS thread, so the children do not crowd each
+    other's cores and the bits do not depend on the thread count. A child
+    sends back its (params, history), or its exception with the traceback
+    as text. Results come in `kinds` order, so every output is the same as
+    from one process. A DivergenceDetected propagates from the first stage
+    in that order that diverged; a child that cannot be forked, or ends
+    without a whole result, raises FineTuneLost. Closing the generator, or
+    an error from it, terminates and joins every child still running.
     """
     setup = replace(
         _loss_setup(args, args.hop_ms),
@@ -313,31 +308,26 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
         # fork, not spawn: a spawned child would need the corpora pickled
         context = multiprocessing.get_context("fork")
         children = []
-
-        def start(kind):
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_send_result, args=(sender, partial(stage, kind, tune_cfg, warm)),
-                name=f"chunksc-{kind.value}", daemon=True,
-            )
-            # the parent closes its copy of the sender, so that recv sees
-            # end-of-file once the child has ended
-            try:
-                with sender:
-                    child.start()
-            except OSError as exc:  # e.g. EAGAIN: no process could be forked
-                receiver.close()
-                raise FineTuneLost(
-                    f"could not start the {kind.value} fine-tune process: {exc}"
-                ) from None
-            children.append((kind, child, receiver))
-
-        at_once = _fine_tunes_at_once(len(kinds))
         try:
-            for kind in kinds[:at_once]:
-                start(kind)
+            for kind in kinds:
+                receiver, sender = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_send_result, args=(sender, partial(stage, kind, tune_cfg, warm)),
+                    name=f"chunksc-{kind.value}", daemon=True,
+                )
+                # the parent closes its copy of the sender, so that recv sees
+                # end-of-file once the child has ended
+                try:
+                    with sender:
+                        child.start()
+                except OSError as exc:  # e.g. EAGAIN: no process could be forked
+                    receiver.close()
+                    raise FineTuneLost(
+                        f"could not start the {kind.value} fine-tune process: {exc}"
+                    ) from None
+                children.append((kind, child, receiver))
             yield None, warm, history
-            for i, (kind, child, receiver) in enumerate(children):
+            for kind, child, receiver in children:
                 try:
                     ok, result = receiver.recv()
                 except (EOFError, OSError):  # OSError: it ended mid-message
@@ -349,8 +339,6 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
                 if not ok:
                     error, text = result
                     raise error from _ChildTraceback(f"in the {kind.value} fine-tune:\n{text}")
-                if i + at_once < len(kinds):
-                    start(kinds[i + at_once])
                 yield (kind, *result)
         finally:
             for _, child, receiver in children:
@@ -359,37 +347,6 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
                 receiver.close()
 
     return stages()
-
-
-def _fine_tunes_at_once(n: int) -> int:
-    """How many of `n` fine-tune processes may run at once.
-
-    With a single-threaded OpenBLAS, all of them: the OS shares the cores.
-    Otherwise one at a time. A multi-threaded OpenBLAS spins its worker
-    threads while they wait, so children that share cores slow every small
-    matmul: 3 children with 2 BLAS threads each on 2 cores ran a reduced
-    `compare` 3.5x slower than one process did. The children cannot drop to
-    one BLAS thread instead, because the thread count changes the last bits
-    of a matmul, and with them every output.
-    """
-    return n if _blas_threads() == 1 else 1
-
-
-def _blas_threads() -> int | None:
-    """The thread count of the OpenBLAS loaded into this process, or None if
-    none is found (another BLAS, or no /proc/self/maps to find it by)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
-        for path in paths:
-            lib = ctypes.CDLL(path)  # the loaded library, not a second copy
-            for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
-                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                if getter is not None:
-                    return getter()
-    except OSError:
-        pass
-    return None
 
 
 def _send_result(sender, run):

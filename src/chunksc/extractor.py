@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import expit
 
+from ._blas import one_blas_thread
 from .errors import DimensionMismatch, DivergenceDetected
 from .losses import LossResult, LossSetup, compute_loss
 from .metrics import distribution_report, sc_statistics, si_sdr_improvement
@@ -251,6 +252,7 @@ def evaluate_corpus(
     return sisdri_sum / len(corpus), distribution_report(stats).r_scr
 
 
+@one_blas_thread()
 def train(
     cfg: TrainConfig,
     corpus: list[MixtureExample],
@@ -261,8 +263,9 @@ def train(
     """Mini-batch SGD with reduce-on-plateau learning-rate halving.
 
     Deterministic in the seed: data order, initialization and every update
-    are reproducible. Raises DivergenceDetected, holding the completed
-    epochs, on a non-finite extractor output or loss.
+    are reproducible, to the bit whatever the BLAS thread count, since the
+    run holds OpenBLAS to one thread. Raises DivergenceDetected, holding the
+    completed epochs, on a non-finite extractor output or loss.
     """
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")

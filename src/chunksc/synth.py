@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import SameSpeaker
 from .signal_core import Waveform
 
@@ -129,6 +130,7 @@ def make_speakers(n: int, seed: int) -> list[SyntheticSpeaker]:
     return speakers
 
 
+@one_blas_thread()
 def make_corpus(
     n_examples: int,
     seed: int,
@@ -138,7 +140,10 @@ def make_corpus(
     snr_hi_db: float = 2.0,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> list[MixtureExample]:
-    """A corpus of random speaker pairs at random mixing SNRs."""
+    """A corpus of random speaker pairs at random mixing SNRs, the same bits
+    whatever the BLAS thread count (`gen_example` scales by dot products)."""
+    if n_examples < 1:
+        raise ValueError(f"n_examples must be at least 1, got {n_examples}")
     speakers = make_speakers(n_speakers, seed)
     rng = np.random.default_rng(seed + 1)
     corpus = []

@@ -3,8 +3,10 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import pytest
@@ -24,6 +26,7 @@ from chunksc import (
     si_sdr_improvement,
     write_wav,
 )
+from chunksc._blas import one_blas_thread
 from chunksc.cli import _evaluate_manifest, main, parse_args
 from chunksc.extractor import (
     HistoryRow,
@@ -391,11 +394,14 @@ class TestTrain:
 
 
     @pytest.mark.parametrize("command", ["train", "compare"])
-    def test_refused_setting_creates_no_out_directory(self, tmp_path, command):
+    def test_refused_setting_creates_no_out_directory(self, tmp_path, capsys, command):
         out = tmp_path / "run"
-        args = [command, "--train-size", "4", "--val-size", "2", "--lr", "nan", "--out", str(out)]
-        assert main(args) == 2
-        assert not out.exists()
+        for flags in (("--lr", "nan"), ("--train-size", "0"), ("--val-size", "0"),
+                      ("--train-size", "-3")):
+            args = [command, "--train-size", "4", "--val-size", "2", *flags, "--out", str(out)]
+            assert main(args) == 2, flags
+            assert not out.exists(), flags
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_unusable_out_fails_before_any_epoch(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "taken"
@@ -492,15 +498,13 @@ class TestCompare:
         assert "--finetune-epochs" in capsys.readouterr().err
         assert not (out / "warmup_checkpoint.json").exists()
 
-    # 1: the three children run at once; None: one after another
+    # 1: the command starts with OpenBLAS already on one thread; None: at its default count
     @pytest.mark.parametrize("blas_threads", [1, None])
-    def test_each_fine_tune_matches_an_in_process_train_byte_for_byte(
-        self, tmp_path, monkeypatch, blas_threads
-    ):
-        monkeypatch.setattr(cli, "_blas_threads", lambda: blas_threads)
+    def test_each_fine_tune_matches_an_in_process_train_byte_for_byte(self, tmp_path, blas_threads):
         out = tmp_path / "cmp"
         extra = ("--finetune-epochs", "2", "--seed", "3", "--weights", "4,3,2,1", "--gamma2", "2.5")
-        assert main(compare_args(out, *extra)) == 0
+        with one_blas_thread() if blas_threads == 1 else nullcontext():
+            assert main(compare_args(out, *extra)) == 0
         warm = load_checkpoint(str(out / "warmup_checkpoint.json"))
         setup = LossSetup(
             chunking=ChunkingConfig(chunk_len_ms=250.0, hop_ms=125.0),
@@ -516,15 +520,28 @@ class TestCompare:
             expected = (tmp_path / "expected.json").read_bytes()
             assert (out / f"{kind.value}_checkpoint.json").read_bytes() == expected
 
-    @pytest.mark.parametrize("blas_threads, at_once", [(1, 3), (2, 1), (None, 1)])
-    def test_fine_tunes_run_at_once_only_with_one_blas_thread(
-        self, monkeypatch, blas_threads, at_once
-    ):
-        monkeypatch.setattr(cli, "_blas_threads", lambda: blas_threads)
-        assert cli._fine_tunes_at_once(3) == at_once
+    def test_outputs_are_the_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "chunksc.cli", *compare_args("cmp")],
+                cwd=run_dir, env=env, check=True, timeout=120,
+            )
+            outputs[threads] = {p.name: p.read_bytes() for p in (run_dir / "cmp").iterdir()}
+        assert sorted(outputs["1"]) == sorted(
+            ["comparison.csv", "warmup_checkpoint.json"]
+            + [f"{kind.value}_{part}" for kind in LossKind
+               for part in ("checkpoint.json", "history.csv")]
+        )
+        for name, data in outputs["1"].items():
+            assert outputs["2"].get(name) == data, name
 
     def test_no_fine_tune_process_outlives_the_command(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_blas_threads", lambda: 1)  # all three at once
         assert main(compare_args(tmp_path / "ok")) == 0
         assert multiprocessing.active_children() == []
         real_train = cli.train

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import io
 import json
@@ -47,6 +48,22 @@ from chunksc.synth import MixtureExample, gen_example, make_corpus
 
 SPEAKERS = make_speakers(8, seed=0)
 EXAMPLE = gen_example(SPEAKERS[0], SPEAKERS[1], 2.0, 0.0, seed=42)
+
+
+def openblas_thread_controls():
+    """(get, set) of the thread count of each OpenBLAS loaded into this
+    process: numpy's 64-bit-index copy and scipy's copy."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line})
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")):
+                controls.append((getattr(lib, name.format("get")), getattr(lib, name.format("set"))))
+                break
+    return controls
 
 
 class TestInitAndShapes:
@@ -350,6 +367,36 @@ class TestTraining:
         assert isinstance(back, DivergenceDetected)
         assert str(back) == "diverged"
         assert history_to_csv(back.history) == history_to_csv(rows)  # NaN-safe
+
+    @pytest.mark.parametrize("diverges", [False, True], ids=["trains", "diverges"])
+    def test_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch, diverges):
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS is loaded")
+        found = [get() for get, _ in controls]
+        seen, real_backward = [], extractor.backward
+
+        def recording(*args):
+            seen.append([get() for get, _ in controls])
+            return real_backward(*args)
+
+        monkeypatch.setattr(extractor, "backward", recording)
+        start = init_params(0)
+        if diverges:
+            start.mask_b2[:] = np.nan
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            try:
+                train(TrainConfig(epochs=1, seed=0), self.CORPUS, self.VAL, start_params=start)
+            except DivergenceDetected:
+                assert diverges
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_threads), threads in zip(controls, found):
+                set_threads(threads)
+        assert after == [2] * len(controls)
+        assert seen == ([] if diverges else [[1] * len(controls)] * len(self.CORPUS))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

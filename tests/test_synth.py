@@ -93,3 +93,8 @@ class TestMakeCorpus:
         again = make_corpus(5, seed=21)
         for a, b in zip(corpus, again):
             assert np.array_equal(a.mixture.samples, b.mixture.samples)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_examples_rejected(self, n):
+        with pytest.raises(ValueError, match="n_examples"):
+            make_corpus(n, seed=21)
