@@ -25,6 +25,7 @@ from functools import partial
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import ChunkscError, DivergenceDetected, FineTuneLost
 from .extractor import (
     LossSetup,
@@ -190,20 +191,26 @@ def _read_manifest(path: str) -> list[tuple[int, tuple[str, str, str]]]:
     return rows
 
 
+@one_blas_thread()
 def _evaluate_manifest(args):
+    """The scores of every manifest row. They run on one BLAS thread: the
+    thread count changes the last bits of a dot product of over 10,000
+    samples, and so of the utterance SI-SDR."""
     setup = _loss_setup(args, args.hop_ms if args.eval_hop == "overlap" else args.chunk_ms)
     report = []
     for line, row in _read_manifest(args.manifest):
         try:
             est, tgt, mix = (read_wav(p) for p in row)
-            # scored before chunking, so si_sdr's check reports a mismatch;
-            # sisdri is si_sdr_improvement without scoring the estimate twice
+            # si_sdr checks the estimate against the target before chunking,
+            # so a short estimate is reported as a mismatch; sc_statistics
+            # checks the mixture by name before si_sdr scores it. sisdri is
+            # si_sdr_improvement without scoring the estimate twice.
             score = si_sdr(est, tgt, setup.sisdr_cfg)
-            sisdri = score - si_sdr(mix, tgt, setup.sisdr_cfg)
             chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
             stats = sc_statistics(
                 est, tgt, mix, chunks, setup.activity, setup.sisdr_cfg, setup.bins
             )
+            sisdri = score - si_sdr(mix, tgt, setup.sisdr_cfg)
         except (OSError, ValueError, ChunkscError) as exc:
             raise ValueError(f"manifest line {line} ({row[0]}): {exc}") from exc
         name = os.path.splitext(os.path.basename(row[0]))[0]
@@ -290,6 +297,9 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     without a whole result, raises FineTuneLost. Closing the generator, or
     an error from it, terminates and joins every child still running.
     """
+    for flag, n_examples in (("--train-size", args.train_size), ("--val-size", args.val_size)):
+        if n_examples < 1:
+            raise ValueError(f"{flag} must be at least 1, got {n_examples}")
     setup = replace(
         _loss_setup(args, args.hop_ms),
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),

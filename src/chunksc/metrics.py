@@ -112,7 +112,7 @@ def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool 
     ref_energy = np.vecdot(ref, ref)
     silent = ref_energy < cfg.eps
     alpha = np.vecdot(est, ref) / np.where(silent, 1.0, ref_energy)
-    num, den = np.zeros_like(alpha), np.zeros_like(alpha)
+    num, den = [], []  # the sums of each row tile, in row order
     residual = np.empty(est.shape) if grad else None
     width = min(est.shape[1], _BLOCK_SAMPLES)
     step = max(1, _BLOCK_SAMPLES // width)
@@ -122,13 +122,17 @@ def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool 
             cols = slice(c, c + width)
             projection = alpha[rows, None] * ref[rows, cols]
             r = est[rows, cols] - projection
-            num[rows] += np.vecdot(projection, projection)
-            den[rows] += np.vecdot(r, r)
+            tile_num, tile_den = np.vecdot(projection, projection), np.vecdot(r, r)
+            if c:  # the first column tile's sums start the row tile's
+                tile_num, tile_den = num.pop() + tile_num, den.pop() + tile_den
+            num.append(tile_num)
+            den.append(tile_den)
             if grad:
                 residual[rows, cols] = r
+    num, den = (s[0] if len(s) == 1 else np.concatenate(s) for s in (num, den))
     raw = 10.0 * np.log10((num + cfg.eps) / (den + cfg.eps))
     clamped = np.abs(raw) >= cfg.clamp_db
-    value = np.where(silent, np.nan, np.clip(raw, -cfg.clamp_db, cfg.clamp_db))
+    value = np.where(silent, np.nan, np.minimum(np.maximum(raw, -cfg.clamp_db), cfg.clamp_db))
     g = None
     if grad:
         # d num/de = 2*alpha*t, d den/de = 2*(e - alpha*t); the cross term through
@@ -141,7 +145,7 @@ def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool 
 
 def _utterance_si_sdr(estimate: Waveform, target: Waveform, cfg: SiSdrConfig, grad: bool = False) -> _Rows:
     """The kernel on the whole utterance as a single row."""
-    _check_alike((estimate, target), len(target))
+    _check_alike({"estimate": estimate, "target": target}, len(target), "the target's")
     rows = _si_sdr_rows(estimate.samples[None], target.samples[None], cfg, grad)
     if rows.ref_energy[0] < cfg.eps:
         raise ZeroTarget("target signal has zero energy")
@@ -167,12 +171,15 @@ def si_sdr_improvement(
     return si_sdr(estimate, target, cfg) - si_sdr(mixture, target, cfg)
 
 
-def _check_alike(waves: tuple[Waveform, ...], n_samples: int):
-    """Every waveform has n_samples samples, and all share one sample rate."""
-    if any(len(w) != n_samples for w in waves):
-        raise LengthMismatch(f"signals have {' vs '.join(str(len(w)) for w in waves)} samples, not all {n_samples}")
-    if len({w.sample_rate for w in waves}) > 1:
-        raise ValueError(f"sample rates differ: {' vs '.join(f'{w.sample_rate} Hz' for w in waves)}")
+def _check_alike(waves: dict[str, Waveform], n_samples: int, whose: str):
+    """Every named waveform has n_samples samples, `whose` count (the
+    target's or the grid's), and all share one sample rate."""
+    if any(len(w) != n_samples for w in waves.values()):
+        counts = ", ".join(f"{name} {len(w)}" for name, w in waves.items())
+        raise LengthMismatch(f"sample counts differ: {counts}; expected {whose} {n_samples}")
+    if len({w.sample_rate for w in waves.values()}) > 1:
+        rates = ", ".join(f"{name} {w.sample_rate} Hz" for name, w in waves.items())
+        raise ValueError(f"sample rates differ: {rates}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,9 @@ def _score_chunks(
 ) -> _ChunkScores:
     if not isinstance(grid, ChunkGrid):
         raise ValueError("chunks must be the ChunkGrid that make_chunks returns")
-    _check_alike((estimate, target, mixture), grid.n_samples)
+    _check_alike(
+        {"estimate": estimate, "target": target, "mixture": mixture}, grid.n_samples, "the grid's"
+    )
     e, t, y = (grid.rows(w.samples) for w in (estimate, target, mixture))
     to_target = _si_sdr_rows(e, t, cfg, grad)
     to_mixture = _si_sdr_rows(e, y, cfg, grad)

@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ChunkLenExceedsSignal, InvalidHop, LengthMismatch
 
@@ -156,15 +155,20 @@ class ChunkGrid:
         return (self.count - 1) * self.hop + self.length
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        """(count, length) strided view of x, one row per chunk.
+        """(count, length) read-only strided view of x, one row per chunk:
+        row k starts at sample k * hop, and rows overlap where hop < length.
 
         A cut-off last chunk is zero-padded to full length, which is exact
-        for every dot product and energy; only then is x copied.
+        for every dot product and energy; only then, or for a non-contiguous
+        x, is x copied.
         """
+        x = np.ascontiguousarray(x)
         span = self._span()
         if span > x.size:
             x = np.concatenate([x, np.zeros(span - x.size)])
-        return sliding_window_view(x[:span], self.length)[:: self.hop]
+        view = np.ndarray((self.count, self.length), x.dtype, x, 0, (self.hop * x.itemsize, x.itemsize))
+        view.flags.writeable = False
+        return view
 
     def overlap_add(self, rows: np.ndarray) -> np.ndarray:
         """Inverse of `rows` for gradients: add every row back onto its

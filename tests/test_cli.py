@@ -72,6 +72,18 @@ def manifest_for(tmp_path, corpus, estimate_source):
     return write_manifest(tmp_path, triples, header=True)
 
 
+def partial_estimate_triples(tmp_path, corpus):
+    """WAV triples whose estimate keeps some of the interferer."""
+    triples = []
+    for i, ex in enumerate(corpus):
+        est = Waveform(0.7 * ex.target.samples + 0.4 * ex.interferer.samples, RATE)
+        paths = [str(tmp_path / f"{name}{i}.wav") for name in ("est", "tgt", "mix")]
+        for path, w in zip(paths, (est, ex.target, ex.mixture)):
+            write_wav(path, w)
+        triples.append(paths)
+    return triples
+
+
 def read_report_csv(path):
     lines = [l for l in open(path).read().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -115,20 +127,17 @@ class TestEval:
     def test_si_sdri_is_si_sdr_improvement_bit_for_bit(self, tmp_path, corpus, monkeypatch):
         # small tiles, so the 16000-sample utterances span many column tiles
         monkeypatch.setattr(metrics, "_BLOCK_SAMPLES", 1000)
-        triples = []
-        for i, ex in enumerate(corpus):
-            est = Waveform(0.7 * ex.target.samples + 0.4 * ex.interferer.samples, RATE)
-            paths = [str(tmp_path / f"{name}{i}.wav") for name in ("est", "tgt", "mix")]
-            for path, w in zip(paths, (est, ex.target, ex.mixture)):
-                write_wav(path, w)
-            triples.append(paths)
+        triples = partial_estimate_triples(tmp_path, corpus)
         args = parse_args(["eval", "--manifest", write_manifest(tmp_path, triples),
                            "--out", str(tmp_path / "r.csv")])
         report = _evaluate_manifest(args)
         for row, paths in zip(report, triples):
             est, tgt, mix = (read_wav(p) for p in paths)
-            assert row["si_sdr"] == si_sdr(est, tgt)
-            assert row["si_sdri"] == si_sdr_improvement(est, tgt, mix)
+            # eval scores on one BLAS thread, whose dot products over 16000
+            # samples have other last bits than at the default thread count
+            with one_blas_thread():
+                assert row["si_sdr"] == si_sdr(est, tgt)
+                assert row["si_sdri"] == si_sdr_improvement(est, tgt, mix)
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -155,12 +164,16 @@ class TestEval:
     @pytest.mark.parametrize(
         "name, samples, rate, message",
         [
-            ("tgt", -1, RATE, "16000 vs 15999 samples"),
-            ("tgt", None, 16000, "8000 Hz vs 16000 Hz"),
+            ("tgt", -1, RATE,
+             "sample counts differ: estimate 16000, target 15999; expected the target's 15999\n"),
+            ("tgt", None, 16000, "sample rates differ: estimate 8000 Hz, target 16000 Hz\n"),
             # shorter than one chunk: the mismatch is reported, not the chunk length
-            ("est", 100, RATE, "100 vs 16000 samples"),
+            ("est", 100, RATE,
+             "sample counts differ: estimate 100, target 16000; expected the target's 16000\n"),
+            ("mix", -1, RATE, "sample counts differ: estimate 16000, target 16000, "
+                              "mixture 15999; expected the grid's 16000\n"),
         ],
-        ids=["length", "rate", "estimate-under-one-chunk"],
+        ids=["length", "rate", "estimate-under-one-chunk", "mixture-length"],
     )
     def test_mismatched_row_exits_2_naming_row_and_mismatch(
         self, tmp_path, corpus, capsys, name, samples, rate, message
@@ -170,8 +183,26 @@ class TestEval:
         write_wav(str(tmp_path / f"{name}1.wav"), Waveform(signal, rate))
         assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: manifest line 3 ({tmp_path / 'est1.wav'}): ")
-        assert message in err and err.count("manifest line") == 1
+        assert err == f"error: manifest line 3 ({tmp_path / 'est1.wav'}): {message}"
+
+    def test_reports_are_the_same_bytes_at_any_blas_thread_count(self, tmp_path, corpus):
+        # 16000-sample rows: OpenBLAS splits dot products over 10,000 samples across threads
+        manifest = write_manifest(tmp_path, partial_estimate_triples(tmp_path, corpus))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        reports = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            for command, out in (("eval", "r.csv"), ("eval", "r.json"), ("distribution", "d.csv")):
+                subprocess.run(
+                    [sys.executable, "-m", "chunksc.cli", command, "--manifest", manifest,
+                     "--out", out], cwd=run_dir, env=env, check=True, timeout=60,
+                )
+            reports[threads] = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert sorted(reports["1"]) == ["d.csv", "r.csv", "r.json"]
+        assert reports["2"] == reports["1"]
 
     def test_malformed_manifest_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -402,6 +433,15 @@ class TestTrain:
             assert main(args) == 2, flags
             assert not out.exists(), flags
             assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("flag", ["--train-size", "--val-size"])
+    def test_corpus_size_refusal_names_the_flag(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "run"
+        args = [command, "--train-size", "2", "--val-size", "2", flag, "0", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got 0\n"
+        assert not out.exists()
 
     def test_unusable_out_fails_before_any_epoch(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "taken"

@@ -282,7 +282,8 @@ def tiling_rows(shape, seed):
     return est, ref
 
 
-@pytest.mark.parametrize("shape", [(1, 1000), (1, 65), (7, 300), (5, 129)])
+# the last two: eval-short's 8 chunks of 2000 samples, and its 2 s utterance at 8 kHz
+@pytest.mark.parametrize("shape", [(1, 1000), (1, 65), (7, 300), (5, 129), (8, 2000), (1, 16000)])
 @pytest.mark.parametrize("grad", [False, True])
 def test_column_tiles_match_the_untiled_kernel(monkeypatch, shape, grad):
     est, ref = tiling_rows(shape, seed=shape[1])
@@ -307,6 +308,27 @@ def test_rows_within_one_tile_are_bit_identical(monkeypatch, shape):
     tiled = _si_sdr_rows(est, ref, CFG, grad=True)
     np.testing.assert_array_equal(tiled.value, untiled.value)
     np.testing.assert_array_equal(tiled.grad, untiled.grad)
+
+
+@pytest.mark.parametrize("shape", [(8, 2000), (1, 16000)], ids=["chunks", "utterance"])
+@pytest.mark.parametrize("grad", [False, True])
+def test_eval_short_rows_give_the_bits_of_row_tiles_and_of_the_formula(monkeypatch, shape, grad):
+    est, ref = tiling_rows(shape, seed=shape[1])
+    untiled = _si_sdr_rows(est, ref, CFG, grad)
+    # one row per tile
+    monkeypatch.setattr(metrics, "_BLOCK_SAMPLES", shape[1])
+    tiled = _si_sdr_rows(est, ref, CFG, grad)
+    for field in ("value", "clamped", "ref_energy", "grad"):
+        np.testing.assert_array_equal(getattr(tiled, field), getattr(untiled, field))
+    # a row in one tile has the dot products of the textbook formula
+    sound = np.vecdot(ref, ref) >= CFG.eps
+    alpha = np.vecdot(est[sound], ref[sound]) / np.vecdot(ref[sound], ref[sound])
+    projection = alpha[:, None] * ref[sound]
+    residual = est[sound] - projection
+    ratio = (np.vecdot(projection, projection) + CFG.eps) / (np.vecdot(residual, residual) + CFG.eps)
+    np.testing.assert_array_equal(
+        untiled.value[sound], np.clip(10.0 * np.log10(ratio), -CFG.clamp_db, CFG.clamp_db)
+    )
 
 
 @pytest.mark.parametrize("kind", list(LossKind))

@@ -114,7 +114,7 @@ class TestSiSdr:
 
     def test_sample_rate_mismatch_rejected(self):
         x = np.random.default_rng(8).normal(size=64)
-        with pytest.raises(ValueError, match="8000 Hz vs 16000 Hz"):
+        with pytest.raises(ValueError, match="^sample rates differ: estimate 8000 Hz, target 16000 Hz$"):
             si_sdr(Waveform(x, 8000), Waveform(x, 16000))
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from chunksc import (
     ActivityConfig,
@@ -97,6 +98,44 @@ class TestMakeChunks:
     def test_hop_exceeding_length_rejected(self):
         with pytest.raises(InvalidHop):
             make_chunks(1000, ChunkingConfig(chunk_len_ms=100, hop_ms=150), 1000)
+
+
+class TestChunkRows:
+    """`ChunkGrid.rows` against numpy's sliding-window layout."""
+
+    @staticmethod
+    def sliding_rows(x, grid):
+        span = (grid.count - 1) * grid.hop + grid.length
+        padded = np.concatenate([x, np.zeros(max(0, span - x.size))])
+        return sliding_window_view(padded[:span], grid.length)[:: grid.hop]
+
+    @pytest.mark.parametrize(
+        "n, length, hop",
+        [(1000, 250, 125), (1000, 250, 250), (900, 250, 125), (1001, 250, 250), (16000, 2000, 2000)],
+        ids=["hop-below-length", "hop-equals-length", "cut-off-overlapping", "cut-off-tiled",
+             "eval-short"],
+    )
+    def test_matches_the_sliding_window_layout(self, n, length, hop):
+        x = np.random.default_rng(n).normal(size=n)
+        grid = make_chunks(n, ChunkingConfig(length, hop), 1000)
+        rows, expected = grid.rows(x), self.sliding_rows(x, grid)
+        assert rows.shape == expected.shape == (grid.count, length)
+        assert rows.strides == expected.strides == (8 * hop, 8)
+        np.testing.assert_array_equal(rows, expected)
+        cut_off = len(grid[-1]) < length
+        assert np.shares_memory(rows, x) is not cut_off
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    def test_non_contiguous_input_is_copied_into_the_same_layout(self):
+        x = np.random.default_rng(0).normal(size=2000)[::2]
+        grid = make_chunks(1000, ChunkingConfig(250, 125), 1000)
+        rows = grid.rows(x)
+        expected = self.sliding_rows(np.ascontiguousarray(x), grid)
+        assert rows.strides == expected.strides == (8 * 125, 8)
+        np.testing.assert_array_equal(rows, expected)
+        assert not rows.flags.writeable and not np.shares_memory(rows, x)
 
 
 class TestChunkEnergy:
