@@ -1,10 +1,17 @@
 """Command-line surface: corpus evaluation, SC distribution reporting,
 toy training and loss-scheme comparison.
 
-Exit codes: 0 success, 1 a fine-tune process that could not be forked or
-ended without a result, 2 input error, 3 numerical divergence. Config
-precedence is flags > config file > defaults; the effective config is echoed
-as a comment header into every output file.
+Exit codes: 0 success, 1 a fine-tune process that could not be forked, or a
+fine-tune or worker process that ended without a result, 2 input error, 3
+numerical divergence. Config precedence is flags > config file > defaults;
+the effective config is echoed as a comment header into every output file.
+
+Processes: `eval` and `distribution` run in one. `train` and `compare` fork
+one worker per other CPU the process may run on, for the corpora and for
+each stage that runs alone (both stages of `train`, the warm-up of
+`compare`); `compare` then forks one process per fine-tune. No flag, config
+key or environment variable sets the count, and the outputs do not depend
+on it (see `_training_stages`).
 """
 
 from __future__ import annotations
@@ -14,11 +21,8 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
-import signal
 import sys
-import traceback
 from contextlib import closing
 from dataclasses import replace
 from functools import partial
@@ -26,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
+from ._fork import Forked, Workers, answer, worker_count
 from .errors import ChunkscError, DivergenceDetected, FineTuneLost
 from .extractor import (
     LossSetup,
@@ -44,7 +49,7 @@ from .metrics import (
     si_sdr,
 )
 from .signal_core import ActivityConfig, ChunkingConfig, make_chunks
-from .synth import make_corpus
+from .synth import corpus_floats, make_corpus
 from .wav_io import read_wav
 
 
@@ -164,6 +169,10 @@ def _parse_floats(text: str, name: str, n: int) -> tuple[float, ...]:
 def _loss_setup(args, hop_ms: float) -> LossSetup:
     """The scoring settings every subcommand shares: chunks of --chunk-ms at
     `hop_ms`, the activity gate, the clamp and the class bins."""
+    # SiSdrConfig takes an infinite clamp (no clamping), which a JSON report
+    # or config header could not hold; it refuses NaN itself
+    if math.isinf(args.clamp_db):
+        raise ValueError(f"--clamp-db must be finite, got {args.clamp_db}")
     return LossSetup(
         chunking=ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=hop_ms),
         activity=ActivityConfig(eta_db=args.eta),
@@ -279,23 +288,29 @@ def cmd_distribution(args) -> int:
 def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     """The warm-up/fine-tune sequence of `train` and `compare`.
 
-    Checks every setting and builds both corpora at once, then returns a
-    generator of (kind, params, history): first (None, ...) for the
-    plain-loss warm-up of --warmup-epochs at --lr from the seed's
-    initialization, then one fine-tune per loss kind in `kinds` order, each
-    starting from the warm-up parameters.
+    Checks every setting at once, then returns a generator of (kind,
+    params, history): first (None, ...) for the plain-loss warm-up of
+    --warmup-epochs at --lr from the seed's initialization, then one
+    fine-tune per loss kind in `kinds` order, each starting from the warm-up
+    parameters.
 
-    Each fine-tune runs in its own forked process, and all of them start
-    when the warm-up is done, before it is yielded. Fork hands each child
-    the corpora, the settings and the warm-up parameters without pickling.
-    `train` runs on one BLAS thread, so the children do not crowd each
-    other's cores and the bits do not depend on the thread count. A child
-    sends back its (params, history), or its exception with the traceback
-    as text. Results come in `kinds` order, so every output is the same as
-    from one process. A DivergenceDetected propagates from the first stage
-    in that order that diverged; a child that cannot be forked, or ends
-    without a whole result, raises FineTuneLost. Closing the generator, or
-    an error from it, terminates and joins every child still running.
+    Started, the generator forks one worker per other CPU this process may
+    use (`_fork.Workers`); they render the corpora into their shared buffer
+    and share out the batches and validation passes of each stage that runs
+    alone: the warm-up, and a single fine-tune. Several fine-tunes fill the
+    cores themselves: the workers end when the warm-up is done, and each
+    fine-tune runs in its own forked process, all of them at once, started
+    before the warm-up is yielded. Fork hands each process the corpora, the
+    settings and the warm-up parameters without pickling. `train` runs on
+    one BLAS thread, so the processes do not crowd each other's cores and
+    the bits depend on neither the thread count nor the worker count.
+
+    Results come in `kinds` order, so every output is the same as from one
+    process. A DivergenceDetected propagates from the first stage in that
+    order that diverged; a fine-tune process that cannot be forked, or a
+    worker or fine-tune process that ends without a whole result, raises
+    FineTuneLost. Closing the generator, or an error from it, terminates and
+    joins every process still running.
     """
     for flag, n_examples in (("--train-size", args.train_size), ("--val-size", args.val_size)):
         if n_examples < 1:
@@ -307,74 +322,45 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     )
     warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
     tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
-    corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration)
-    validation = make_corpus(args.val_size, seed=args.seed + 1000, duration_s=args.duration)
-
-    def stage(kind, cfg, params):
-        return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params)
+    # the shared buffer holds both corpora, and the parameters and gradient
+    # slots of each stage the workers share
+    start = init_params(args.seed)
+    stages_shared = 2 if len(kinds) == 1 else 1
+    floats = (
+        corpus_floats(args.train_size, args.duration) + corpus_floats(args.val_size, args.duration)
+        + stages_shared * (1 + args.batch) * start.count()
+    )
 
     def stages():
-        warm, history = stage(LossKind.PLAIN, warm_cfg, init_params(args.seed))
-        # fork, not spawn: a spawned child would need the corpora pickled
-        context = multiprocessing.get_context("fork")
+        workers = Workers(worker_count(), floats)
         children = []
         try:
+            corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration,
+                                 workers=workers)
+            validation = make_corpus(args.val_size, seed=args.seed + 1000,
+                                     duration_s=args.duration, workers=workers)
+
+            def stage(kind, cfg, params, **kw):
+                return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params, **kw)
+
+            warm, history = stage(LossKind.PLAIN, warm_cfg, start, workers=workers)
+            if len(kinds) == 1:
+                yield None, warm, history
+                yield (kinds[0], *stage(kinds[0], tune_cfg, warm, workers=workers))
+                return
+            workers.stop()
             for kind in kinds:
-                receiver, sender = context.Pipe(duplex=False)
-                child = context.Process(
-                    target=_send_result, args=(sender, partial(stage, kind, tune_cfg, warm)),
-                    name=f"chunksc-{kind.value}", daemon=True,
-                )
-                # the parent closes its copy of the sender, so that recv sees
-                # end-of-file once the child has ended
-                try:
-                    with sender:
-                        child.start()
-                except OSError as exc:  # e.g. EAGAIN: no process could be forked
-                    receiver.close()
-                    raise FineTuneLost(
-                        f"could not start the {kind.value} fine-tune process: {exc}"
-                    ) from None
-                children.append((kind, child, receiver))
+                run = partial(stage, kind, tune_cfg, warm)
+                children.append(Forked(f"{kind.value} fine-tune", partial(answer, call=run)))
             yield None, warm, history
-            for kind, child, receiver in children:
-                try:
-                    ok, result = receiver.recv()
-                except (EOFError, OSError):  # OSError: it ended mid-message
-                    child.join()
-                    raise FineTuneLost(
-                        f"the {kind.value} fine-tune process ended with exit code "
-                        f"{child.exitcode} before sending a result"
-                    ) from None
-                if not ok:
-                    error, text = result
-                    raise error from _ChildTraceback(f"in the {kind.value} fine-tune:\n{text}")
-                yield (kind, *result)
+            for kind, child in zip(kinds, children):
+                yield (kind, *child.result())
         finally:
-            for _, child, receiver in children:
-                child.terminate()  # a child that has ended is left as it is
-                child.join()
-                receiver.close()
+            workers.stop()
+            for child in children:
+                child.stop()
 
     return stages()
-
-
-def _send_result(sender, run):
-    """A fine-tune process: send back run()'s (params, history), or the
-    exception it raised, for the parent to raise."""
-    # Ctrl-C reaches the whole process group; the parent alone handles it,
-    # and terminates the children
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        result = (True, run())
-    except Exception as exc:
-        # the traceback does not pickle, so its text goes along
-        result = (False, (exc, traceback.format_exc()))
-    sender.send(result)
-
-
-class _ChildTraceback(Exception):
-    """The traceback, as text, of an error raised in a fine-tune process."""
 
 
 def _renumber(history, offset):

@@ -46,7 +46,8 @@ class DivergenceDetected(ChunkscError):
 
 
 class FineTuneLost(ChunkscError):
-    """A fine-tune process ended without sending back its result or its error."""
+    """A fine-tune process could not be forked, or a fine-tune or worker
+    process ended without sending back its result or its error."""
 
 
 class EmptyInput(ChunkscError):

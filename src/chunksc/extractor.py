@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._blas import one_blas_thread
+from ._fork import Workers
 from .errors import DimensionMismatch, DivergenceDetected
 from .losses import LossResult, LossSetup, compute_loss
 from .metrics import distribution_report, sc_statistics, si_sdr_improvement
@@ -49,8 +50,17 @@ class ToyExtractorParams:
     mask_b2: np.ndarray  # (D,)
     decoder: np.ndarray  # (D, F)
 
-    def copy(self) -> "ToyExtractorParams":
-        return ToyExtractorParams(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
+    def copy(self, workers: Workers | None = None) -> "ToyExtractorParams":
+        """A copy, in the shared buffer of `workers` when given."""
+        copy = self.zeros(workers or Workers())
+        for f in fields(self):
+            getattr(copy, f.name)[...] = getattr(self, f.name)
+        return copy
+
+    def zeros(self, workers: Workers, *lead: int) -> "ToyExtractorParams":
+        """Zero arrays of this one's shapes, each behind the `lead` axes, from `workers.array`."""
+        shape = {f.name: (*lead, *getattr(self, f.name).shape) for f in fields(self)}
+        return ToyExtractorParams(**{name: workers.array(dims) for name, dims in shape.items()})
 
     def count(self) -> int:
         return sum(getattr(self, f.name).size for f in fields(self))
@@ -230,26 +240,56 @@ def evaluate_corpus(
     p: ToyExtractorParams,
     corpus: list[MixtureExample],
     setup: LossSetup,
+    workers: Workers | None = None,
 ) -> tuple[float, float]:
-    """Mean utterance SI-SDRi and pooled confusion ratio over a corpus.
+    """Mean utterance SI-SDRi and pooled confusion ratio over a corpus, its
+    examples split across `workers` when given, to the same bits.
 
     Reporting uses non-overlapping chunks (hop == chunk length) regardless of
     the training hop.
     """
+    workers = workers or Workers()
+    blocks = workers.map(_score_examples, workers.split(range(len(corpus))), p, corpus, setup)
+    scores = [score for block in blocks for score in block]
+    sisdri_sum = 0.0
+    for sisdri, _ in scores:
+        sisdri_sum += sisdri
+    return sisdri_sum / len(corpus), distribution_report([stats for _, stats in scores]).r_scr
+
+
+def _score_examples(p, corpus, setup, indices):
+    """(SI-SDRi, ScStatistics) of corpus[i] for each i of `indices`, in order."""
     length_ms = setup.chunking.chunk_len_ms
     eval_chunking = ChunkingConfig(chunk_len_ms=length_ms, hop_ms=length_ms)
-    sisdri_sum = 0.0
-    stats = []
-    for ex in corpus:
+    scores = []
+    for i in indices:
+        ex = corpus[i]
         est = forward(p, ex.mixture, ex.enrollment)
-        sisdri_sum += si_sdr_improvement(est, ex.target, ex.mixture, setup.sisdr_cfg)
+        sisdri = si_sdr_improvement(est, ex.target, ex.mixture, setup.sisdr_cfg)
         chunks = make_chunks(len(est), eval_chunking, est.sample_rate)
-        stats.append(
-            sc_statistics(
-                est, ex.target, ex.mixture, chunks, setup.activity, setup.sisdr_cfg, setup.bins
-            )
+        stats = sc_statistics(
+            est, ex.target, ex.mixture, chunks, setup.activity, setup.sisdr_cfg, setup.bins
         )
-    return sisdri_sum / len(corpus), distribution_report(stats).r_scr
+        scores.append((sisdri, stats))
+    return scores
+
+
+def _backward_examples(params, corpus, setup, slots, tasks):
+    """`backward` on corpus[i] for each (i, slot) of `tasks`, in order: the
+    loss value with the gradients, or, when slot is a batch position, the
+    loss value alone, with the gradients written into that slot of `slots`.
+    Raises DivergenceDetected at the first non-finite loss."""
+    out = []
+    for i, slot in tasks:
+        grads, result = backward(params, corpus[i], setup)
+        if not math.isfinite(result.value):
+            raise DivergenceDetected(f"non-finite loss on example {i}", [])
+        if slot is not None:
+            for f in fields(grads):
+                getattr(slots, f.name)[slot] = getattr(grads, f.name)
+            grads = None
+        out.append((grads, result.value))
+    return out
 
 
 @one_blas_thread()
@@ -259,6 +299,7 @@ def train(
     validation: list[MixtureExample],
     setup: LossSetup | None = None,
     start_params: ToyExtractorParams | None = None,
+    workers: Workers | None = None,
 ) -> tuple[ToyExtractorParams, list[HistoryRow]]:
     """Mini-batch SGD with reduce-on-plateau learning-rate halving.
 
@@ -266,14 +307,24 @@ def train(
     are reproducible, to the bit whatever the BLAS thread count, since the
     run holds OpenBLAS to one thread. Raises DivergenceDetected, holding the
     completed epochs, on a non-finite extractor output or loss.
+
+    With `workers`, each batch and each validation pass is split across
+    them, to the same bits. The parameters, the corpora (best made by
+    `make_corpus` with the same workers) and one gradient slot per batch
+    example are in their shared buffer: a worker reads the parameters and
+    writes each gradient into its slot. This process adds the gradients in
+    batch order, as one process would, and updates the parameters in place.
     """
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")
     setup = setup or LossSetup()
-    params = (start_params or init_params(cfg.seed)).copy()
+    workers = workers or Workers()
+    params = (start_params or init_params(cfg.seed)).copy(workers)
     history: list[HistoryRow] = []
     if cfg.epochs == 0:
         return params, history
+    slots = params.zeros(workers, cfg.batch)
+    workers.share(corpus, validation, setup, params, slots)
 
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
@@ -281,7 +332,7 @@ def train(
     stale_epochs = 0
 
     try:
-        val_sisdri, val_rscr = evaluate_corpus(params, validation, setup)
+        val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, workers)
         history.append(HistoryRow(0, float("nan"), val_sisdri, val_rscr))
 
         param_names = [f.name for f in fields(ToyExtractorParams)]
@@ -290,12 +341,18 @@ def train(
             losses = []
             for lo in range(0, len(order), cfg.batch):
                 batch = order[lo : lo + cfg.batch]
+                # this process keeps the gradients of its own block; the
+                # workers write theirs into the slot of each batch position
+                blocks = workers.split((int(i), p) for p, i in enumerate(batch))
+                blocks[0] = [(i, None) for i, _ in blocks[0]]
+                done = workers.map(_backward_examples, blocks, params, corpus, setup, slots)
                 acc = None
-                for i in batch:
-                    grads, result = backward(params, corpus[i], setup)
-                    if not math.isfinite(result.value):
-                        raise DivergenceDetected(f"non-finite loss on example {i}", [])
-                    losses.append(result.value)
+                for position, (grads, value) in enumerate(item for block in done for item in block):
+                    losses.append(value)
+                    if grads is None:
+                        grads = ToyExtractorParams(
+                            **{name: getattr(slots, name)[position] for name in param_names}
+                        )
                     if acc is None:
                         acc = grads
                     else:
@@ -304,7 +361,7 @@ def train(
                 scale = lr / len(batch)
                 for name in param_names:
                     getattr(params, name).__isub__(scale * getattr(acc, name))
-            val_sisdri, val_rscr = evaluate_corpus(params, validation, setup)
+            val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, workers)
             history.append(HistoryRow(epoch, float(np.mean(losses)), val_sisdri, val_rscr))
             if val_sisdri > best_val:
                 best_val = val_sisdri
@@ -342,8 +399,9 @@ def save_checkpoint(path: str, p: ToyExtractorParams) -> None:
             for f in fields(ToyExtractorParams)
         },
     }
+    # one write of json.dumps, whose C encoder json.dump does not use
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint(path: str) -> ToyExtractorParams:

@@ -64,6 +64,8 @@ class WeightLossConfig:
 
     def __post_init__(self):
         w = self.weights
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError(f"weights must be finite, got {w}")
         if len(w) != 4 or not (w[0] >= w[1] >= w[2] >= w[3] > 0):
             raise ValueError("weights must satisfy w0 >= w1 >= w2 >= w3 > 0")
 

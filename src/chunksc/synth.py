@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
+from ._fork import Workers
 from .errors import SameSpeaker
 from .signal_core import Waveform
 
@@ -55,8 +56,10 @@ def render_utterance(
     duration_s: float,
     sample_rate: int,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One random draw from a speaker: harmonic stack under an AM envelope.
+    """One random draw from a speaker: harmonic stack under an AM envelope,
+    written into `out` when given.
 
     Each draw randomizes phases, AM phase and a small fundamental jitter, so
     two draws from the same speaker differ while staying identifiable.
@@ -73,7 +76,7 @@ def render_utterance(
     env = (0.5 * (1.0 + np.sin(2.0 * np.pi * spk.am_rate_hz * t + rng.uniform(0.0, 2.0 * np.pi)))) ** 2
     sig *= env
     rms = np.sqrt(np.mean(sig**2))
-    return _TARGET_RMS * sig / rms
+    return np.divide(_TARGET_RMS * sig, rms, out=out)
 
 
 def gen_example(
@@ -92,24 +95,44 @@ def gen_example(
     """
     if spk_a.id == spk_b.id:
         raise SameSpeaker(f"target and interferer share speaker id {spk_a.id}")
+    signals = np.zeros((3, _n_samples(duration_s, sample_rate)))
+    enrollment = np.zeros(_n_samples(ENROLLMENT_SECONDS, sample_rate))
+    _render_examples(duration_s, sample_rate, signals[None], enrollment[None],
+                     [(0, spk_a, spk_b, snr_db, seed)])
+    return _example(signals, enrollment, sample_rate, spk_a.id)
+
+
+def _n_samples(duration_s: float, sample_rate: int) -> int:
     if not 1.0 <= duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and >= 1.0, got {duration_s}")
-    rng = np.random.default_rng(seed)
-    target = render_utterance(spk_a, duration_s, sample_rate, rng)
-    interferer = render_utterance(spk_b, duration_s, sample_rate, rng)
-    gain = np.sqrt(
-        np.dot(target, target) / (np.dot(interferer, interferer) * 10.0 ** (snr_db / 10.0))
-    )
-    interferer = gain * interferer
-    mixture = target + interferer
-    enrollment = render_utterance(spk_a, ENROLLMENT_SECONDS, sample_rate, rng)
-    return MixtureExample(
-        mixture=Waveform(mixture, sample_rate),
-        target=Waveform(target, sample_rate),
-        interferer=Waveform(interferer, sample_rate),
-        enrollment=Waveform(enrollment, sample_rate),
-        target_id=spk_a.id,
-    )
+    return int(round(duration_s * sample_rate))
+
+
+def corpus_floats(
+    n_examples: int, duration_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE
+) -> int:
+    """The float64 values a corpus of `make_corpus` holds."""
+    per_example = 3 * _n_samples(duration_s, sample_rate)
+    return n_examples * (per_example + _n_samples(ENROLLMENT_SECONDS, sample_rate))
+
+
+def _render_examples(duration_s, sample_rate, signals, enrollments, draws):
+    """Render example j of each (j, spk_a, spk_b, snr_db, seed) draw into
+    signals[j] (mixture, target and interferer rows) and enrollments[j]."""
+    for j, spk_a, spk_b, snr_db, seed in draws:
+        mixture, target, interferer = signals[j]
+        rng = np.random.default_rng(seed)
+        render_utterance(spk_a, duration_s, sample_rate, rng, out=target)
+        raw = render_utterance(spk_b, duration_s, sample_rate, rng)
+        gain = np.sqrt(np.dot(target, target) / (np.dot(raw, raw) * 10.0 ** (snr_db / 10.0)))
+        np.multiply(gain, raw, out=interferer)
+        np.add(target, interferer, out=mixture)
+        render_utterance(spk_a, ENROLLMENT_SECONDS, sample_rate, rng, out=enrollments[j])
+
+
+def _example(signals, enrollment, sample_rate, target_id) -> MixtureExample:
+    mixture, target, interferer = (Waveform(x, sample_rate) for x in signals)
+    return MixtureExample(mixture, target, interferer, Waveform(enrollment, sample_rate), target_id)
 
 
 def make_speakers(n: int, seed: int) -> list[SyntheticSpeaker]:
@@ -139,25 +162,31 @@ def make_corpus(
     snr_lo_db: float = -2.0,
     snr_hi_db: float = 2.0,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
+    workers: Workers | None = None,
 ) -> list[MixtureExample]:
     """A corpus of random speaker pairs at random mixing SNRs, the same bits
-    whatever the BLAS thread count (`gen_example` scales by dot products)."""
+    whatever the BLAS thread count (`gen_example` scales by dot products).
+
+    The pairs, SNRs and seeds are drawn here, one example after another;
+    then the examples are rendered into one block of memory, split across
+    `workers` when given (in their shared buffer), to the same bits.
+    """
     if n_examples < 1:
         raise ValueError(f"n_examples must be at least 1, got {n_examples}")
+    n = _n_samples(duration_s, sample_rate)
     speakers = make_speakers(n_speakers, seed)
     rng = np.random.default_rng(seed + 1)
-    corpus = []
-    for _ in range(n_examples):
+    draws = []
+    for j in range(n_examples):
         a, b = rng.choice(len(speakers), size=2, replace=False)
         snr = rng.uniform(snr_lo_db, snr_hi_db)
-        corpus.append(
-            gen_example(
-                speakers[a],
-                speakers[b],
-                duration_s,
-                float(snr),
-                seed=int(rng.integers(0, 2**31)),
-                sample_rate=sample_rate,
-            )
-        )
-    return corpus
+        draws.append((j, speakers[a], speakers[b], float(snr), int(rng.integers(0, 2**31))))
+    workers = workers or Workers()
+    signals = workers.array((n_examples, 3, n))
+    enrollments = workers.array((n_examples, _n_samples(ENROLLMENT_SECONDS, sample_rate)))
+    blocks = workers.split(draws)
+    workers.map(_render_examples, blocks, duration_s, sample_rate, signals, enrollments)
+    return [
+        _example(signals[j], enrollments[j], sample_rate, spk_a.id)
+        for j, spk_a, *_ in draws
+    ]

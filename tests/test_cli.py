@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from chunksc import (
@@ -19,6 +20,7 @@ from chunksc import (
     Waveform,
     WeightLossConfig,
     cli,
+    extractor,
     make_corpus,
     metrics,
     read_wav,
@@ -27,6 +29,7 @@ from chunksc import (
     write_wav,
 )
 from chunksc._blas import one_blas_thread
+from chunksc._fork import Workers
 from chunksc.cli import _evaluate_manifest, main, parse_args
 from chunksc.extractor import (
     HistoryRow,
@@ -154,6 +157,14 @@ class TestEval:
         assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    def test_infinite_clamp_exits_2_without_a_report(self, tmp_path, corpus, capsys):
+        manifest = manifest_for(tmp_path, corpus, "target")
+        out = tmp_path / "r.json"
+        for value in ("inf", "-inf"):
+            assert main(["eval", "--manifest", manifest, "--out", str(out), f"--clamp-db={value}"]) == 2
+            assert capsys.readouterr().err == f"error: --clamp-db must be finite, got {float(value)}\n"
+            assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         manifest = write_manifest(
@@ -443,6 +454,13 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, got 0\n"
         assert not out.exists()
 
+    def test_non_finite_weights_exit_2_before_out_is_made(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for weights in ("inf,inf,1,1", "5,5,1,nan"):
+            assert main(train_args(str(out), extra=("--loss", "weight", "--weights", weights))) == 2
+            assert capsys.readouterr().err.startswith("error: weights must be finite, got (")
+            assert not out.exists()
+
     def test_unusable_out_fails_before_any_epoch(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "taken"
         out.write_text("a file, not a directory")
@@ -454,9 +472,9 @@ class TestTrain:
         real_train = cli.train
         rows = [HistoryRow(0, float("nan"), 1.5, 40.0), HistoryRow(1, 2.0, 1.75, 30.0)]
 
-        def diverging_finetune(cfg, corpus, validation, setup, params):
+        def diverging_finetune(cfg, corpus, validation, setup, params, **kw):
             if setup.loss_kind is LossKind.PLAIN:
-                return real_train(cfg, corpus, validation, setup, params)
+                return real_train(cfg, corpus, validation, setup, params, **kw)
             raise DivergenceDetected("diverged in the fine-tune", rows)
 
         monkeypatch.setattr(cli, "train", diverging_finetune)
@@ -492,6 +510,108 @@ def compare_args(out, *extra):
     ]
 
 
+def read_outputs(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def run_with_workers(monkeypatch, run_dir, n_workers, args):
+    """main(args) in run_dir with `n_workers` workers asked for; returns the
+    exit code and the number of workers that started."""
+    started = []
+
+    def workers(*a):
+        pool = Workers(*a)
+        started.append(len(pool._workers))
+        return pool
+
+    monkeypatch.setattr(cli, "worker_count", lambda: n_workers)
+    monkeypatch.setattr(cli, "Workers", workers)
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    with deadline(60):
+        return main(args), started
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_outputs_are_the_same_bytes_at_any_worker_count(self, tmp_path, monkeypatch, command):
+        args = (compare_args("run") if command == "compare"
+                else train_args("run", extra=("--warmup-epochs", "1", "--loss", "scale")))
+        outputs = {}
+        for n in (0, 1, 2):
+            code, started = run_with_workers(monkeypatch, tmp_path / f"w{n}", n, args)
+            assert (code, started) == (0, [n])
+            outputs[n] = read_outputs(tmp_path / f"w{n}" / "run")
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert multiprocessing.active_children() == []
+
+    def test_a_warm_up_that_diverges_in_a_worker_exits_3_as_in_process(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # train_args: 6 examples at seed 1, one batch of 6 an epoch; with one
+        # worker, the last 3 positions of a batch are the worker's
+        rng = np.random.default_rng(1)
+        rng.permutation(6)
+        bad = int(rng.permutation(6)[-1])
+        marker = make_corpus(6, seed=1)[bad].mixture.samples[0]
+        real_backward = extractor.backward
+
+        def diverges_in_epoch_2(params, example, setup):
+            grads, result = real_backward(params, example, setup)
+            if params.mask_b2.any() and example.mixture.samples[0] == marker:  # trained once
+                result = replace(result, value=float("nan"))
+            return grads, result
+
+        monkeypatch.setattr(extractor, "backward", diverges_in_epoch_2)
+        args = train_args("run", extra=("--warmup-epochs", "3", "--loss", "weight"))
+        runs = {}
+        for n in (0, 1):
+            code, started = run_with_workers(monkeypatch, tmp_path / f"w{n}", n, args)
+            assert (code, started) == (3, [n])
+            runs[n] = (capsys.readouterr().err, read_outputs(tmp_path / f"w{n}" / "run"))
+        assert runs[1] == runs[0]
+        err, files = runs[1]
+        assert err == f"error: non-finite loss on example {bad} in epoch 2\n"
+        assert sorted(files) == ["history.csv"]
+        assert [line.split(",")[0] for line in files["history.csv"].decode().splitlines()[2:]] == ["0", "1"]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_mid_batch_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
+        parent, real_backward = os.getpid(), extractor.backward
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real_backward(*args)
+
+        monkeypatch.setattr(extractor, "backward", dies_in_a_worker)
+        code, started = run_with_workers(monkeypatch, tmp_path / "w1", 1, train_args("run"))
+        assert (code, started) == (1, [1])
+        assert capsys.readouterr().err == (
+            "error: the worker 1 process ended with exit code 9 before sending a result\n"
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_cannot_be_forked_leaves_the_stage_to_the_others(
+        self, tmp_path, monkeypatch
+    ):
+        code, started = run_with_workers(monkeypatch, tmp_path / "w0", 0, compare_args("run"))
+        assert (code, started) == (0, [0])
+        real_fork, forks = os.fork, []
+
+        def second_fork_fails():
+            forks.append(os.getpid())
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        code, started = run_with_workers(monkeypatch, tmp_path / "w2", 2, compare_args("run"))
+        assert (code, started, len(forks)) == (0, [1], 5)  # 2 workers asked, 3 fine-tunes
+        assert read_outputs(tmp_path / "w2" / "run") == read_outputs(tmp_path / "w0" / "run")
+        assert multiprocessing.active_children() == []
+
+
 class TestCompare:
     def test_smoke_run_shares_warmup(self, tmp_path):
         out = tmp_path / "cmp"
@@ -511,10 +631,10 @@ class TestCompare:
     def test_divergence_exits_3_after_the_stages_before_it(self, tmp_path, monkeypatch, capsys):
         real_train = cli.train
 
-        def diverging_scale(cfg, corpus, validation, setup, params):
+        def diverging_scale(cfg, corpus, validation, setup, params, **kw):
             if setup.loss_kind is LossKind.SCALE:
                 raise DivergenceDetected("scale diverged", [])
-            return real_train(cfg, corpus, validation, setup, params)
+            return real_train(cfg, corpus, validation, setup, params, **kw)
 
         monkeypatch.setattr(cli, "train", diverging_scale)
         out = tmp_path / "cmp"
@@ -562,33 +682,39 @@ class TestCompare:
 
     def test_outputs_are_the_same_bytes_at_any_blas_thread_count(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
+        # `compare` with cli.worker_count returning argv[1]
+        script = ("import sys; from chunksc import cli; cli.worker_count = lambda: int(sys.argv[1]); "
+                  "sys.exit(cli.main(sys.argv[2:]))")
         outputs = {}
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run_dir = tmp_path / f"threads{threads}"
-            run_dir.mkdir()
-            subprocess.run(
-                [sys.executable, "-m", "chunksc.cli", *compare_args("cmp")],
-                cwd=run_dir, env=env, check=True, timeout=120,
-            )
-            outputs[threads] = {p.name: p.read_bytes() for p in (run_dir / "cmp").iterdir()}
-        assert sorted(outputs["1"]) == sorted(
+            for workers in ("0", "1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                run_dir = tmp_path / f"threads{threads}-workers{workers}"
+                run_dir.mkdir()
+                subprocess.run(
+                    [sys.executable, "-c", script, workers, *compare_args("cmp")],
+                    cwd=run_dir, env=env, check=True, timeout=120,
+                )
+                outputs[threads, workers] = read_outputs(run_dir / "cmp")
+        first = outputs["1", "0"]
+        assert sorted(first) == sorted(
             ["comparison.csv", "warmup_checkpoint.json"]
             + [f"{kind.value}_{part}" for kind in LossKind
                for part in ("checkpoint.json", "history.csv")]
         )
-        for name, data in outputs["1"].items():
-            assert outputs["2"].get(name) == data, name
+        for key, files in outputs.items():
+            for name, data in first.items():
+                assert files.get(name) == data, (key, name)
 
     def test_no_fine_tune_process_outlives_the_command(self, tmp_path, monkeypatch):
         assert main(compare_args(tmp_path / "ok")) == 0
         assert multiprocessing.active_children() == []
         real_train = cli.train
 
-        def plain_diverges_while_the_others_run(cfg, corpus, validation, setup, params):
+        def plain_diverges_while_the_others_run(cfg, corpus, validation, setup, params, **kw):
             if cfg.epochs == 1:  # the warm-up
-                return real_train(cfg, corpus, validation, setup, params)
+                return real_train(cfg, corpus, validation, setup, params, **kw)
             if setup.loss_kind is LossKind.PLAIN:
                 raise DivergenceDetected("plain diverged", [])
             time.sleep(60)
@@ -601,10 +727,10 @@ class TestCompare:
     def test_a_fine_tune_process_that_dies_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
         real_train = cli.train
 
-        def weight_dies(cfg, corpus, validation, setup, params):
+        def weight_dies(cfg, corpus, validation, setup, params, **kw):
             if setup.loss_kind is LossKind.WEIGHT:
                 os._exit(9)
-            return real_train(cfg, corpus, validation, setup, params)
+            return real_train(cfg, corpus, validation, setup, params, **kw)
 
         monkeypatch.setattr(cli, "train", weight_dies)
         out = tmp_path / "cmp"
@@ -622,10 +748,10 @@ class TestCompare:
     def test_an_error_in_a_fine_tune_is_raised_from_its_traceback(self, tmp_path, monkeypatch):
         real_train = cli.train
 
-        def weight_breaks(cfg, corpus, validation, setup, params):
+        def weight_breaks(cfg, corpus, validation, setup, params, **kw):
             if setup.loss_kind is LossKind.WEIGHT:
                 raise TypeError("broken")
-            return real_train(cfg, corpus, validation, setup, params)
+            return real_train(cfg, corpus, validation, setup, params, **kw)
 
         monkeypatch.setattr(cli, "train", weight_breaks)
         with deadline(30), pytest.raises(TypeError, match="broken") as info:

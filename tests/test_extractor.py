@@ -42,7 +42,8 @@ from chunksc.extractor import (
     save_checkpoint,
     train,
 )
-from chunksc import extractor
+from chunksc import _blas, extractor
+from chunksc._blas import one_blas_thread
 from chunksc.signal_core import active_mask
 from chunksc.synth import MixtureExample, gen_example, make_corpus
 
@@ -409,6 +410,28 @@ class TestTraining:
             TrainConfig(epochs=-1)
 
 
+def test_one_blas_thread_finds_the_libraries_once_and_restores_each_count():
+    controls = openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS is loaded")
+    found = [get() for get, _ in controls]
+    _blas._find_openblas.cache_clear()
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        with one_blas_thread():
+            inside = [get() for get, _ in controls]
+        with pytest.raises(RuntimeError), one_blas_thread():
+            raise RuntimeError("fails while pinned")
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_threads), threads in zip(controls, found):
+            set_threads(threads)
+    assert inside == [1] * len(controls)
+    assert after == [2] * len(controls)
+    assert _blas._find_openblas.cache_info().misses == 1
+
+
 class TestEvaluateCorpus:
     def test_open_mask_scores_mixture_level(self):
         # Passthrough output == mixture, so mean improvement is exactly 0.
@@ -449,6 +472,15 @@ class TestSerialization:
         expected = io.StringIO()
         json.dump(payload, expected)
         assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_checkpoint_reads_back_to_the_bit(self, tmp_path):
+        p = init_params(4)
+        p.mask_b1[:6] = [-0.0, 5e-324, 1.0 / 3.0, 1e16, -2.5e-300, 123456789.125]
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(path, p)
+        q = load_checkpoint(path)
+        for f in dataclasses.fields(ToyExtractorParams):
+            assert getattr(q, f.name).tobytes() == getattr(p, f.name).tobytes(), f.name
 
     def test_checkpoint_format_guard(self, tmp_path):
         path = tmp_path / "bogus.json"
