@@ -1,5 +1,5 @@
 """Forked processes: the fine-tune children of `compare`, and the workers
-that share out the examples of a stage that runs alone.
+that share out the examples of one call.
 
 Fork, not spawn: a child starts with the parent's modules, settings and
 data, so nothing is pickled to start it. Every child ignores SIGINT (Ctrl-C
@@ -11,12 +11,10 @@ raises FineTuneLost naming it.
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import multiprocessing
 import os
-import pickle
 import signal
 import traceback
 
@@ -33,6 +31,14 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0)) - 1
 
 
+def shared_zeros(shape) -> np.ndarray:
+    """A float64 array of zeros in memory that a process forked after it
+    shares with this one: a write on either side shows on the other. Its
+    first touch costs about twice that of private memory, so a call
+    without workers takes np.zeros."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
 class ChildTraceback(Exception):
     """The traceback, as text, of an error raised in a forked process."""
 
@@ -47,7 +53,9 @@ def answer(conn, call):
     conn.send(reply)
 
 
-def _child(conn, body):
+def _child(conn, parent_end, body):
+    # without the parent's end, recv sees end-of-file once the parent has ended
+    parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     body(conn)
 
@@ -59,7 +67,7 @@ class Forked:
         self.name = name
         self._conn, child_end = _CONTEXT.Pipe()
         self._process = _CONTEXT.Process(
-            target=_child, args=(child_end, body), name=f"chunksc {name}", daemon=True
+            target=_child, args=(child_end, self._conn, body), name=f"chunksc {name}", daemon=True
         )
         # the parent closes its copy of the child's end, so that recv sees
         # end-of-file once the child has ended
@@ -70,9 +78,9 @@ class Forked:
             self._conn.close()
             raise FineTuneLost(f"could not start the {name} process: {exc}") from None
 
-    def send(self, data: bytes):
+    def send(self, message):
         try:
-            self._conn.send_bytes(data)
+            self._conn.send(message)
         except OSError:  # it has ended
             self._lost()
 
@@ -101,48 +109,25 @@ class Forked:
 
 
 class Workers:
-    """Processes forked to share out the examples of a stage with this one.
+    """`n_workers` processes forked to share out the examples of one call
+    with this one, once the `objects` they read exist.
 
-    They map one anonymous shared buffer of `floats` float64 values with the
-    parent, and `array` hands out pieces of it. A message to a worker is
-    pickled with each array in that buffer, and each object already
-    `share`d, sent as a reference; so a corpus crosses the pipes once, and a
-    call sends little more than its indices. A worker that cannot be forked
-    leaves the work to those that did start; `Workers()` has none, and
-    `map` then runs everything here.
+    Fork hands each worker the `objects`: a `map` argument that is one of
+    them is sent as its position, and any other argument is pickled. So a
+    corpus never crosses a pipe, and what a worker writes for this process
+    to read must be in an array of `shared_zeros`. A worker that cannot be
+    forked leaves the work to those that did start; with none, `map` runs
+    everything here.
     """
 
-    def __init__(self, n_workers: int = 0, floats: int = 0):
-        if n_workers and not floats:
-            raise ValueError("workers need a shared buffer: floats must be positive")
-        self._arena = mmap.mmap(-1, floats * 8) if floats else None
-        self._base = np.frombuffer(self._arena, np.uint8).ctypes.data if floats else 0
-        self._used = 0
-        self._shared = {}  # id(obj) -> (key, obj); holding obj keeps its id unique
+    def __init__(self, n_workers: int = 0, *objects):
+        self._objects = objects
         self._workers = []
         for k in range(n_workers):
             try:
                 self._workers.append(Forked(f"worker {k + 1}", self._serve))
             except FineTuneLost:
                 break
-
-    def array(self, shape) -> np.ndarray:
-        """A float64 array of zeros, in the shared buffer when there is one."""
-        if self._arena is None:
-            return np.zeros(shape)
-        offset, self._used = self._used, self._used + 8 * math.prod(shape)
-        if self._used > len(self._arena):
-            raise MemoryError(f"the shared buffer of {len(self._arena)} bytes is full")
-        return np.ndarray(shape, np.float64, self._arena, offset)
-
-    def share(self, *objects):
-        """Send each object to every worker, once; later messages refer to it."""
-        for obj in objects:
-            if self._workers and id(obj) not in self._shared:
-                data = self._dumps(("share", len(self._shared), obj))
-                for worker in self._workers:
-                    worker.send(data)
-                self._shared[id(obj)] = (len(self._shared), obj)
 
     def split(self, items) -> list[list]:
         """`items` in contiguous blocks, at most one per process, this
@@ -162,8 +147,10 @@ class Workers:
         Once every worker has answered, raises the first error in block
         order."""
         busy = self._workers[: len(blocks) - 1]
+        position = {id(obj): k for k, obj in enumerate(self._objects)}
+        sent = [(position[id(a)], None) if id(a) in position else (None, a) for a in args]
         for worker, block in zip(busy, blocks[1:]):
-            worker.send(self._dumps(("call", fn, (*args, block))))
+            worker.send((fn, sent, block))
         outcomes = [_outcome(fn, *args, blocks[0])]
         outcomes += [_outcome(worker.result) for worker in busy]
         for ok, value in outcomes:
@@ -172,31 +159,22 @@ class Workers:
         return [value for _, value in outcomes]
 
     def stop(self):
-        """End every worker; the shared buffer stays for the arrays in it."""
+        """End every worker."""
         for worker in self._workers:
             worker.stop()
         self._workers = []
 
-    def _dumps(self, message) -> bytes:
-        buf = io.BytesIO()
-        _Pickler(buf, self).dump(message)
-        return buf.getvalue()
-
     def _serve(self, conn):
-        """A worker: keep what is shared, answer each call, on one BLAS thread."""
-        shared = {}
+        """A worker: answer each call, on one BLAS thread, reading the
+        objects it was forked with."""
         with one_blas_thread():
             while True:
                 try:
-                    data = conn.recv_bytes()
+                    fn, sent, block = conn.recv()
                 except EOFError:  # the parent has ended
                     return
-                message = _Unpickler(io.BytesIO(data), self._arena, shared).load()
-                if message[0] == "share":
-                    shared[message[1]] = message[2]
-                else:
-                    _, fn, args = message
-                    answer(conn, lambda: fn(*args))
+                args = [arg if k is None else self._objects[k] for k, arg in sent]
+                answer(conn, lambda: fn(*args, block))
 
 
 def _outcome(fn, *args):
@@ -204,32 +182,3 @@ def _outcome(fn, *args):
         return True, fn(*args)
     except Exception as exc:
         return False, exc
-
-
-class _Pickler(pickle.Pickler):
-    def __init__(self, file, workers: Workers):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self._workers = workers
-
-    def persistent_id(self, obj):
-        shared = self._workers._shared.get(id(obj))
-        if shared is not None:
-            return ("shared", shared[0])
-        if type(obj) is np.ndarray and self._workers._arena is not None:
-            offset = obj.__array_interface__["data"][0] - self._workers._base
-            if 0 <= offset < len(self._workers._arena):
-                return ("arena", offset, obj.shape, obj.strides)
-        return None
-
-
-class _Unpickler(pickle.Unpickler):
-    def __init__(self, file, arena, shared: dict):
-        super().__init__(file)
-        self._arena = arena
-        self._shared = shared
-
-    def persistent_load(self, pid):
-        if pid[0] == "shared":
-            return self._shared[pid[1]]
-        _, offset, shape, strides = pid
-        return np.ndarray(shape, np.float64, self._arena, offset, strides)

@@ -6,10 +6,11 @@ fine-tune or worker process that ended without a result, 2 input error, 3
 numerical divergence. Config precedence is flags > config file > defaults;
 the effective config is echoed as a comment header into every output file.
 
-Processes: `eval` and `distribution` run in one. `train` and `compare` fork
-one worker per other CPU the process may run on, for the corpora and for
-each stage that runs alone (both stages of `train`, the warm-up of
-`compare`); `compare` then forks one process per fine-tune. No flag, config
+Processes: `eval` and `distribution` run in one. In `train` and `compare`,
+each call that builds a corpus or runs a stage alone (both stages of
+`train`, the warm-up of `compare`) forks one worker per other CPU the
+process may run on, once its data exists, and stops them before it
+returns; `compare` then forks one process per fine-tune. No flag, config
 key or environment variable sets the count, and the outputs do not depend
 on it (see `_training_stages`).
 """
@@ -30,16 +31,9 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
-from ._fork import Forked, Workers, answer, worker_count
+from ._fork import Forked, answer, worker_count
 from .errors import ChunkscError, DivergenceDetected, FineTuneLost
-from .extractor import (
-    LossSetup,
-    TrainConfig,
-    history_to_csv,
-    init_params,
-    save_checkpoint,
-    train,
-)
+from .extractor import LossSetup, TrainConfig, history_to_csv, save_checkpoint, train
 from .losses import LossKind, ScaleLossConfig, WeightLossConfig
 from .metrics import (
     BinEdges,
@@ -49,7 +43,7 @@ from .metrics import (
     si_sdr,
 )
 from .signal_core import ActivityConfig, ChunkingConfig, make_chunks
-from .synth import corpus_floats, make_corpus
+from .synth import DEFAULT_SAMPLE_RATE, make_corpus, n_samples
 from .wav_io import read_wav
 
 
@@ -294,16 +288,16 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     fine-tune per loss kind in `kinds` order, each starting from the warm-up
     parameters.
 
-    Started, the generator forks one worker per other CPU this process may
-    use (`_fork.Workers`); they render the corpora into their shared buffer
-    and share out the batches and validation passes of each stage that runs
-    alone: the warm-up, and a single fine-tune. Several fine-tunes fill the
-    cores themselves: the workers end when the warm-up is done, and each
-    fine-tune runs in its own forked process, all of them at once, started
-    before the warm-up is yielded. Fork hands each process the corpora, the
-    settings and the warm-up parameters without pickling. `train` runs on
-    one BLAS thread, so the processes do not crowd each other's cores and
-    the bits depend on neither the thread count nor the worker count.
+    Building each corpus and each stage that runs alone (the warm-up, and a
+    single fine-tune) is one call, which forks one worker per other CPU
+    this process may use once its data exists, and stops them before it
+    returns; so no worker lives between stages. Several fine-tunes fill the
+    cores themselves: each runs in its own forked process, without workers,
+    all of them at once, started before the warm-up is yielded. Fork hands
+    each process the corpora, the settings and the warm-up parameters
+    without pickling. Training runs on one BLAS thread, so the processes do
+    not crowd each other's cores and the bits depend on neither the thread
+    count nor the worker count.
 
     Results come in `kinds` order, so every output is the same as from one
     process. A DivergenceDetected propagates from the first stage in that
@@ -320,35 +314,31 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
         weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
     )
+    # one utterance's chunk grids, at the training hop and tiled as in
+    # validation, refuse a duration or chunking the corpora cannot take
+    n = n_samples(args.duration)
+    for hop_ms in (args.hop_ms, args.chunk_ms):
+        make_chunks(n, ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=hop_ms), DEFAULT_SAMPLE_RATE)
     warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
     tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
-    # the shared buffer holds both corpora, and the parameters and gradient
-    # slots of each stage the workers share
-    start = init_params(args.seed)
-    stages_shared = 2 if len(kinds) == 1 else 1
-    floats = (
-        corpus_floats(args.train_size, args.duration) + corpus_floats(args.val_size, args.duration)
-        + stages_shared * (1 + args.batch) * start.count()
-    )
 
     def stages():
-        workers = Workers(worker_count(), floats)
+        n_workers = worker_count()
         children = []
         try:
             corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration,
-                                 workers=workers)
+                                 workers=n_workers)
             validation = make_corpus(args.val_size, seed=args.seed + 1000,
-                                     duration_s=args.duration, workers=workers)
+                                     duration_s=args.duration, workers=n_workers)
 
             def stage(kind, cfg, params, **kw):
                 return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params, **kw)
 
-            warm, history = stage(LossKind.PLAIN, warm_cfg, start, workers=workers)
+            warm, history = stage(LossKind.PLAIN, warm_cfg, None, workers=n_workers)
             if len(kinds) == 1:
                 yield None, warm, history
-                yield (kinds[0], *stage(kinds[0], tune_cfg, warm, workers=workers))
+                yield (kinds[0], *stage(kinds[0], tune_cfg, warm, workers=n_workers))
                 return
-            workers.stop()
             for kind in kinds:
                 run = partial(stage, kind, tune_cfg, warm)
                 children.append(Forked(f"{kind.value} fine-tune", partial(answer, call=run)))
@@ -356,7 +346,6 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
             for kind, child in zip(kinds, children):
                 yield (kind, *child.result())
         finally:
-            workers.stop()
             for child in children:
                 child.stop()
 

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import expit
 
 from ._blas import one_blas_thread
-from ._fork import Workers
-from .errors import DimensionMismatch, DivergenceDetected
+from ._fork import Workers, shared_zeros
+from .errors import DimensionMismatch, DivergenceDetected, EmptyInput
 from .losses import LossResult, LossSetup, compute_loss
 from .metrics import distribution_report, sc_statistics, si_sdr_improvement
 from .signal_core import ChunkingConfig, Waveform, make_chunks
@@ -50,17 +50,17 @@ class ToyExtractorParams:
     mask_b2: np.ndarray  # (D,)
     decoder: np.ndarray  # (D, F)
 
-    def copy(self, workers: Workers | None = None) -> "ToyExtractorParams":
-        """A copy, in the shared buffer of `workers` when given."""
-        copy = self.zeros(workers or Workers())
+    def copy(self, alloc=np.zeros) -> "ToyExtractorParams":
+        """A copy, in arrays made by `alloc(shape)`."""
+        copy = self.zeros(alloc)
         for f in fields(self):
             getattr(copy, f.name)[...] = getattr(self, f.name)
         return copy
 
-    def zeros(self, workers: Workers, *lead: int) -> "ToyExtractorParams":
-        """Zero arrays of this one's shapes, each behind the `lead` axes, from `workers.array`."""
+    def zeros(self, alloc, *lead: int) -> "ToyExtractorParams":
+        """Zero arrays `alloc(shape)` of this one's shapes, each behind the `lead` axes."""
         shape = {f.name: (*lead, *getattr(self, f.name).shape) for f in fields(self)}
-        return ToyExtractorParams(**{name: workers.array(dims) for name, dims in shape.items()})
+        return ToyExtractorParams(**{name: alloc(dims) for name, dims in shape.items()})
 
     def count(self) -> int:
         return sum(getattr(self, f.name).size for f in fields(self))
@@ -240,16 +240,19 @@ def evaluate_corpus(
     p: ToyExtractorParams,
     corpus: list[MixtureExample],
     setup: LossSetup,
-    workers: Workers | None = None,
+    pool: Workers | None = None,
 ) -> tuple[float, float]:
-    """Mean utterance SI-SDRi and pooled confusion ratio over a corpus, its
-    examples split across `workers` when given, to the same bits.
+    """Mean utterance SI-SDRi and pooled confusion ratio over a non-empty
+    corpus, its examples split across the workers of `pool` when given (forked
+    with `p`, `corpus` and `setup`), to the same bits.
 
     Reporting uses non-overlapping chunks (hop == chunk length) regardless of
     the training hop.
     """
-    workers = workers or Workers()
-    blocks = workers.map(_score_examples, workers.split(range(len(corpus))), p, corpus, setup)
+    if not corpus:
+        raise EmptyInput("evaluate_corpus needs at least one example")
+    pool = pool or Workers()
+    blocks = pool.map(_score_examples, pool.split(range(len(corpus))), p, corpus, setup)
     scores = [score for block in blocks for score in block]
     sisdri_sum = 0.0
     for sisdri, _ in scores:
@@ -299,7 +302,7 @@ def train(
     validation: list[MixtureExample],
     setup: LossSetup | None = None,
     start_params: ToyExtractorParams | None = None,
-    workers: Workers | None = None,
+    workers: int = 0,
 ) -> tuple[ToyExtractorParams, list[HistoryRow]]:
     """Mini-batch SGD with reduce-on-plateau learning-rate halving.
 
@@ -308,23 +311,24 @@ def train(
     run holds OpenBLAS to one thread. Raises DivergenceDetected, holding the
     completed epochs, on a non-finite extractor output or loss.
 
-    With `workers`, each batch and each validation pass is split across
-    them, to the same bits. The parameters, the corpora (best made by
-    `make_corpus` with the same workers) and one gradient slot per batch
-    example are in their shared buffer: a worker reads the parameters and
-    writes each gradient into its slot. This process adds the gradients in
-    batch order, as one process would, and updates the parameters in place.
+    With `workers`, as many processes, forked once the parameters exist and
+    stopped before the return, take their share of each batch and each
+    validation pass, to the same bits. They read the corpora as forked, and
+    the parameters, which this process updates in place, from shared
+    memory; each writes the gradient of a batch example into that
+    example's shared slot. This process adds the gradients in batch order,
+    as one process would.
     """
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")
     setup = setup or LossSetup()
-    workers = workers or Workers()
-    params = (start_params or init_params(cfg.seed)).copy(workers)
+    zeros = shared_zeros if workers else np.zeros
+    params = (start_params or init_params(cfg.seed)).copy(zeros)
     history: list[HistoryRow] = []
     if cfg.epochs == 0:
         return params, history
-    slots = params.zeros(workers, cfg.batch)
-    workers.share(corpus, validation, setup, params, slots)
+    slots = params.zeros(zeros, cfg.batch)
+    pool = Workers(workers, params, corpus, validation, setup, slots)
 
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
@@ -332,7 +336,7 @@ def train(
     stale_epochs = 0
 
     try:
-        val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, workers)
+        val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, pool)
         history.append(HistoryRow(0, float("nan"), val_sisdri, val_rscr))
 
         param_names = [f.name for f in fields(ToyExtractorParams)]
@@ -343,9 +347,9 @@ def train(
                 batch = order[lo : lo + cfg.batch]
                 # this process keeps the gradients of its own block; the
                 # workers write theirs into the slot of each batch position
-                blocks = workers.split((int(i), p) for p, i in enumerate(batch))
+                blocks = pool.split((int(i), p) for p, i in enumerate(batch))
                 blocks[0] = [(i, None) for i, _ in blocks[0]]
-                done = workers.map(_backward_examples, blocks, params, corpus, setup, slots)
+                done = pool.map(_backward_examples, blocks, params, corpus, setup, slots)
                 acc = None
                 for position, (grads, value) in enumerate(item for block in done for item in block):
                     losses.append(value)
@@ -361,7 +365,7 @@ def train(
                 scale = lr / len(batch)
                 for name in param_names:
                     getattr(params, name).__isub__(scale * getattr(acc, name))
-            val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, workers)
+            val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, pool)
             history.append(HistoryRow(epoch, float(np.mean(losses)), val_sisdri, val_rscr))
             if val_sisdri > best_val:
                 best_val = val_sisdri
@@ -374,6 +378,8 @@ def train(
     except DivergenceDetected as exc:
         # the epoch that failed is the first one history does not hold
         raise DivergenceDetected(f"{exc} in epoch {len(history)}", history) from exc
+    finally:
+        pool.stop()
     return params, history
 
 

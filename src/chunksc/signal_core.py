@@ -60,6 +60,11 @@ class ChunkingConfig:
             raise ValueError("chunk_len_ms and hop_ms must be finite")
         if self.chunk_len_ms <= 0:
             raise ValueError("chunk_len_ms must be positive")
+        if not 0 < self.hop_ms <= self.chunk_len_ms:
+            raise InvalidHop(
+                f"hop_ms must be positive and at most chunk_len_ms {self.chunk_len_ms}, "
+                f"got {self.hop_ms}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,10 +121,8 @@ def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> ChunkG
             f"chunk length {chunk_len} samples exceeds signal length {n_samples}"
         )
     hop = samples_from_ms(cfg.hop_ms, sample_rate)
-    if hop <= 0:
+    if hop <= 0:  # ChunkingConfig keeps it at most chunk_len
         raise InvalidHop(f"hop must be positive, got {hop} samples")
-    if hop > chunk_len:
-        raise InvalidHop("hop must not exceed the chunk length")
     n_chunks = math.ceil((n_samples - chunk_len) / hop) + 1
     return ChunkGrid(hop, chunk_len, n_chunks, n_samples)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from ._fork import Workers
+from ._fork import Workers, shared_zeros
 from .errors import SameSpeaker
 from .signal_core import Waveform
 
@@ -95,25 +95,18 @@ def gen_example(
     """
     if spk_a.id == spk_b.id:
         raise SameSpeaker(f"target and interferer share speaker id {spk_a.id}")
-    signals = np.zeros((3, _n_samples(duration_s, sample_rate)))
-    enrollment = np.zeros(_n_samples(ENROLLMENT_SECONDS, sample_rate))
+    signals = np.zeros((3, n_samples(duration_s, sample_rate)))
+    enrollment = np.zeros(n_samples(ENROLLMENT_SECONDS, sample_rate))
     _render_examples(duration_s, sample_rate, signals[None], enrollment[None],
                      [(0, spk_a, spk_b, snr_db, seed)])
     return _example(signals, enrollment, sample_rate, spk_a.id)
 
 
-def _n_samples(duration_s: float, sample_rate: int) -> int:
+def n_samples(duration_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
+    """The samples of an utterance of `duration_s`, which must be finite and at least 1 s."""
     if not 1.0 <= duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and >= 1.0, got {duration_s}")
     return int(round(duration_s * sample_rate))
-
-
-def corpus_floats(
-    n_examples: int, duration_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE
-) -> int:
-    """The float64 values a corpus of `make_corpus` holds."""
-    per_example = 3 * _n_samples(duration_s, sample_rate)
-    return n_examples * (per_example + _n_samples(ENROLLMENT_SECONDS, sample_rate))
 
 
 def _render_examples(duration_s, sample_rate, signals, enrollments, draws):
@@ -162,18 +155,20 @@ def make_corpus(
     snr_lo_db: float = -2.0,
     snr_hi_db: float = 2.0,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
-    workers: Workers | None = None,
+    workers: int = 0,
 ) -> list[MixtureExample]:
     """A corpus of random speaker pairs at random mixing SNRs, the same bits
     whatever the BLAS thread count (`gen_example` scales by dot products).
 
     The pairs, SNRs and seeds are drawn here, one example after another;
-    then the examples are rendered into one block of memory, split across
-    `workers` when given (in their shared buffer), to the same bits.
+    then the examples are rendered into one block of memory. With
+    `workers`, it is shared, and as many processes, forked once it exists
+    and stopped before the return, render their share of it, to the same
+    bits.
     """
     if n_examples < 1:
         raise ValueError(f"n_examples must be at least 1, got {n_examples}")
-    n = _n_samples(duration_s, sample_rate)
+    n = n_samples(duration_s, sample_rate)
     speakers = make_speakers(n_speakers, seed)
     rng = np.random.default_rng(seed + 1)
     draws = []
@@ -181,11 +176,14 @@ def make_corpus(
         a, b = rng.choice(len(speakers), size=2, replace=False)
         snr = rng.uniform(snr_lo_db, snr_hi_db)
         draws.append((j, speakers[a], speakers[b], float(snr), int(rng.integers(0, 2**31))))
-    workers = workers or Workers()
-    signals = workers.array((n_examples, 3, n))
-    enrollments = workers.array((n_examples, _n_samples(ENROLLMENT_SECONDS, sample_rate)))
-    blocks = workers.split(draws)
-    workers.map(_render_examples, blocks, duration_s, sample_rate, signals, enrollments)
+    zeros = shared_zeros if workers else np.zeros
+    signals = zeros((n_examples, 3, n))
+    enrollments = zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
+    pool = Workers(workers, signals, enrollments)
+    try:
+        pool.map(_render_examples, pool.split(draws), duration_s, sample_rate, signals, enrollments)
+    finally:
+        pool.stop()
     return [
         _example(signals[j], enrollments[j], sample_rate, spk_a.id)
         for j, spk_a, *_ in draws

@@ -2,11 +2,12 @@ import errno
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from chunksc import (
     si_sdr_improvement,
     write_wav,
 )
+from chunksc import _fork
 from chunksc._blas import one_blas_thread
 from chunksc._fork import Workers
 from chunksc.cli import _evaluate_manifest, main, parse_args
@@ -165,6 +167,16 @@ class TestEval:
             assert main(["eval", "--manifest", manifest, "--out", str(out), f"--clamp-db={value}"]) == 2
             assert capsys.readouterr().err == f"error: --clamp-db must be finite, got {float(value)}\n"
             assert not out.exists()
+
+    def test_unusable_hop_exits_2_naming_the_setting_not_a_row(self, tmp_path, corpus, capsys):
+        manifest = manifest_for(tmp_path, corpus, "target")
+        out = tmp_path / "r.csv"
+        args = ["eval", "--manifest", manifest, "--out", str(out), "--eval-hop", "overlap"]
+        assert main([*args, "--hop-ms", "300"]) == 2
+        assert capsys.readouterr().err == (
+            "error: hop_ms must be positive and at most chunk_len_ms 250.0, got 300.0\n"
+        )
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         manifest = write_manifest(
@@ -439,7 +451,8 @@ class TestTrain:
     def test_refused_setting_creates_no_out_directory(self, tmp_path, capsys, command):
         out = tmp_path / "run"
         for flags in (("--lr", "nan"), ("--train-size", "0"), ("--val-size", "0"),
-                      ("--train-size", "-3")):
+                      ("--train-size", "-3"), ("--hop-ms", "300"), ("--chunk-ms", "5000"),
+                      ("--duration", "0.5")):
             args = [command, "--train-size", "4", "--val-size", "2", *flags, "--out", str(out)]
             assert main(args) == 2, flags
             assert not out.exists(), flags
@@ -516,31 +529,41 @@ def read_outputs(path):
 
 def run_with_workers(monkeypatch, run_dir, n_workers, args):
     """main(args) in run_dir with `n_workers` workers asked for; returns the
-    exit code and the number of workers that started."""
-    started = []
+    exit code and the number of workers each call of this process forked,
+    in call order."""
+    started, real_init = [], Workers.__init__
 
-    def workers(*a):
-        pool = Workers(*a)
-        started.append(len(pool._workers))
-        return pool
+    def counting_init(self, *a):
+        real_init(self, *a)
+        started.append(len(self._workers))
 
     monkeypatch.setattr(cli, "worker_count", lambda: n_workers)
-    monkeypatch.setattr(cli, "Workers", workers)
+    monkeypatch.setattr(Workers, "__init__", counting_init)
     run_dir.mkdir()
     monkeypatch.chdir(run_dir)
     with deadline(60):
         return main(args), started
 
 
+def alive(pid):
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestWorkers:
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_outputs_are_the_same_bytes_at_any_worker_count(self, tmp_path, monkeypatch, command):
-        args = (compare_args("run") if command == "compare"
-                else train_args("run", extra=("--warmup-epochs", "1", "--loss", "scale")))
+        # train: two corpora, warm-up, fine-tune; compare: two corpora, warm-up
+        args, calls = ((compare_args("run"), 3) if command == "compare"
+                       else (train_args("run", extra=("--warmup-epochs", "1", "--loss", "scale")), 4))
         outputs = {}
         for n in (0, 1, 2):
             code, started = run_with_workers(monkeypatch, tmp_path / f"w{n}", n, args)
-            assert (code, started) == (0, [n])
+            assert (code, started) == (0, [n] * calls)
             outputs[n] = read_outputs(tmp_path / f"w{n}" / "run")
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
         assert multiprocessing.active_children() == []
@@ -567,7 +590,7 @@ class TestWorkers:
         runs = {}
         for n in (0, 1):
             code, started = run_with_workers(monkeypatch, tmp_path / f"w{n}", n, args)
-            assert (code, started) == (3, [n])
+            assert (code, started) == (3, [n] * 3)  # two corpora, the warm-up
             runs[n] = (capsys.readouterr().err, read_outputs(tmp_path / f"w{n}" / "run"))
         assert runs[1] == runs[0]
         err, files = runs[1]
@@ -586,7 +609,8 @@ class TestWorkers:
 
         monkeypatch.setattr(extractor, "backward", dies_in_a_worker)
         code, started = run_with_workers(monkeypatch, tmp_path / "w1", 1, train_args("run"))
-        assert (code, started) == (1, [1])
+        # two corpora, then the training stage; a warm-up of 0 epochs forks nothing
+        assert (code, started) == (1, [1, 1, 1])
         assert capsys.readouterr().err == (
             "error: the worker 1 process ended with exit code 9 before sending a result\n"
         )
@@ -596,7 +620,7 @@ class TestWorkers:
         self, tmp_path, monkeypatch
     ):
         code, started = run_with_workers(monkeypatch, tmp_path / "w0", 0, compare_args("run"))
-        assert (code, started) == (0, [0])
+        assert (code, started) == (0, [0, 0, 0])
         real_fork, forks = os.fork, []
 
         def second_fork_fails():
@@ -607,9 +631,64 @@ class TestWorkers:
 
         monkeypatch.setattr(os, "fork", second_fork_fails)
         code, started = run_with_workers(monkeypatch, tmp_path / "w2", 2, compare_args("run"))
-        assert (code, started, len(forks)) == (0, [1], 5)  # 2 workers asked, 3 fine-tunes
+        # the training corpus gets 1 of its 2 workers, the other calls both;
+        # then the 3 fine-tunes
+        assert (code, started, len(forks)) == (0, [1, 2, 2], 9)
         assert read_outputs(tmp_path / "w2" / "run") == read_outputs(tmp_path / "w0" / "run")
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_no_worker_lives_between_stages(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(cli, "worker_count", lambda: 1)
+        if command == "compare":
+            args, kinds = compare_args(tmp_path / "run"), list(LossKind)
+        else:
+            args, kinds = train_args(str(tmp_path / "run"), ("--warmup-epochs", "1")), [LossKind.PLAIN]
+        stages = cli._training_stages(parse_args(args), kinds, 0.0002, 1)
+        with closing(stages), deadline(60):
+            kind, _, _ = next(stages)
+            assert kind is None
+            # a fine-tune child may already have sent its result and ended
+            names = [p.name for p in multiprocessing.active_children()]
+            assert all(name.endswith(" fine-tune") for name in names), names
+            assert command == "compare" or names == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_training_batch_sends_a_worker_under_1_kb(self, monkeypatch):
+        sent, real_send = [], _fork.Forked.send
+
+        def measured_send(self, message):
+            sent.append((message[0], len(pickle.dumps(message))))
+            real_send(self, message)
+
+        monkeypatch.setattr(_fork.Forked, "send", measured_send)
+        corpus, validation = make_corpus(8, seed=4), make_corpus(2, seed=5)
+        with deadline(60):
+            train(TrainConfig(epochs=1, batch=8), corpus, validation, LossSetup(), workers=1)
+        batches = [size for fn, size in sent if fn is extractor._backward_examples]
+        assert len(batches) == 1 and batches[0] < 1024, batches
+        assert len(sent) == 3  # and two validation passes
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_ends_when_its_parent_is_killed(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = ("import time; from chunksc._fork import Workers; pool = Workers(1); "
+                  "print(pool._workers[0]._process.pid, flush=True); time.sleep(60)")
+        holder = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env)
+        with holder:
+            worker = int(holder.stdout.readline())
+            try:
+                holder.kill()
+                holder.wait()
+                ends = time.monotonic() + 5
+                while alive(worker) and time.monotonic() < ends:
+                    time.sleep(0.05)
+                assert not alive(worker)
+            finally:
+                if alive(worker):
+                    os.kill(worker, signal.SIGKILL)
 
 
 class TestCompare:

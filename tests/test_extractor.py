@@ -14,6 +14,7 @@ from chunksc import (
     ChunkingConfig,
     DimensionMismatch,
     DivergenceDetected,
+    EmptyInput,
     LossKind,
     ScaleLossConfig,
     SiSdrConfig,
@@ -442,6 +443,10 @@ class TestEvaluateCorpus:
         sisdri, rscr = evaluate_corpus(p, corpus, LossSetup())
         assert sisdri == pytest.approx(0.0, abs=1e-6)
         assert 0.0 <= rscr <= 100.0
+
+    def test_empty_corpus_raises_empty_input(self):
+        with pytest.raises(EmptyInput):
+            evaluate_corpus(init_params(0), [], LossSetup())
 
 
 class TestSerialization:
