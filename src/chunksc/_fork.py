@@ -33,9 +33,7 @@ def worker_count() -> int:
 
 def shared_zeros(shape) -> np.ndarray:
     """A float64 array of zeros in memory that a process forked after it
-    shares with this one: a write on either side shows on the other. Its
-    first touch costs about twice that of private memory, so a call
-    without workers takes np.zeros."""
+    shares with this one: a write on either side shows on the other."""
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
@@ -114,10 +112,12 @@ class Workers:
 
     Fork hands each worker the `objects`: a `map` argument that is one of
     them is sent as its position, and any other argument is pickled. So a
-    corpus never crosses a pipe, and what a worker writes for this process
-    to read must be in an array of `shared_zeros`. A worker that cannot be
-    forked leaves the work to those that did start; with none, `map` runs
-    everything here.
+    corpus never crosses a pipe. A worker sees the `objects` as they were
+    at the fork, so what this process changes after it for the workers to
+    read, and what a worker writes for this process to read, must be in
+    arrays of `shared_zeros`, as train's parameters are. A worker that
+    cannot be forked leaves the work to those that did start; with none,
+    `map` runs everything here.
     """
 
     def __init__(self, n_workers: int = 0, *objects):

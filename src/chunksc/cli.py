@@ -314,11 +314,9 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
         weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
     )
-    # one utterance's chunk grids, at the training hop and tiled as in
-    # validation, refuse a duration or chunking the corpora cannot take
-    n = n_samples(args.duration)
-    for hop_ms in (args.hop_ms, args.chunk_ms):
-        make_chunks(n, ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=hop_ms), DEFAULT_SAMPLE_RATE)
+    # one utterance's chunk grid refuses a duration or chunking the corpora
+    # cannot take; the tiling of validation passes wherever it passes
+    make_chunks(n_samples(args.duration), setup.chunking, DEFAULT_SAMPLE_RATE)
     warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
     tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
 

@@ -50,17 +50,17 @@ class ToyExtractorParams:
     mask_b2: np.ndarray  # (D,)
     decoder: np.ndarray  # (D, F)
 
-    def copy(self, alloc=np.zeros) -> "ToyExtractorParams":
-        """A copy, in arrays made by `alloc(shape)`."""
-        copy = self.zeros(alloc)
+    def copy(self) -> "ToyExtractorParams":
+        """A copy, in arrays of `shared_zeros`."""
+        copy = self.zeros()
         for f in fields(self):
             getattr(copy, f.name)[...] = getattr(self, f.name)
         return copy
 
-    def zeros(self, alloc, *lead: int) -> "ToyExtractorParams":
-        """Zero arrays `alloc(shape)` of this one's shapes, each behind the `lead` axes."""
+    def zeros(self, *lead: int) -> "ToyExtractorParams":
+        """`shared_zeros` of this one's shapes, each behind the `lead` axes."""
         shape = {f.name: (*lead, *getattr(self, f.name).shape) for f in fields(self)}
-        return ToyExtractorParams(**{name: alloc(dims) for name, dims in shape.items()})
+        return ToyExtractorParams(**{name: shared_zeros(dims) for name, dims in shape.items()})
 
     def count(self) -> int:
         return sum(getattr(self, f.name).size for f in fields(self))
@@ -322,12 +322,11 @@ def train(
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")
     setup = setup or LossSetup()
-    zeros = shared_zeros if workers else np.zeros
-    params = (start_params or init_params(cfg.seed)).copy(zeros)
+    params = (start_params or init_params(cfg.seed)).copy()
     history: list[HistoryRow] = []
     if cfg.epochs == 0:
         return params, history
-    slots = params.zeros(zeros, cfg.batch)
+    slots = params.zeros(cfg.batch)
     pool = Workers(workers, params, corpus, validation, setup, slots)
 
     rng = np.random.default_rng(cfg.seed)

@@ -161,10 +161,9 @@ def make_corpus(
     whatever the BLAS thread count (`gen_example` scales by dot products).
 
     The pairs, SNRs and seeds are drawn here, one example after another;
-    then the examples are rendered into one block of memory. With
-    `workers`, it is shared, and as many processes, forked once it exists
-    and stopped before the return, render their share of it, to the same
-    bits.
+    then the examples are rendered into one block of shared memory. With
+    `workers`, as many processes, forked once it exists and stopped before
+    the return, render their share of it, to the same bits.
     """
     if n_examples < 1:
         raise ValueError(f"n_examples must be at least 1, got {n_examples}")
@@ -176,9 +175,8 @@ def make_corpus(
         a, b = rng.choice(len(speakers), size=2, replace=False)
         snr = rng.uniform(snr_lo_db, snr_hi_db)
         draws.append((j, speakers[a], speakers[b], float(snr), int(rng.integers(0, 2**31))))
-    zeros = shared_zeros if workers else np.zeros
-    signals = zeros((n_examples, 3, n))
-    enrollments = zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
+    signals = shared_zeros((n_examples, 3, n))
+    enrollments = shared_zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
     pool = Workers(workers, signals, enrollments)
     try:
         pool.map(_render_examples, pool.split(draws), duration_s, sample_rate, signals, enrollments)

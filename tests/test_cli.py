@@ -623,17 +623,17 @@ class TestWorkers:
         assert (code, started) == (0, [0, 0, 0])
         real_fork, forks = os.fork, []
 
-        def second_fork_fails():
+        def second_worker_fails():
             forks.append(os.getpid())
-            if len(forks) == 2:
+            if len(forks) in (2, 4, 6):
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
             return real_fork()
 
-        monkeypatch.setattr(os, "fork", second_fork_fails)
+        monkeypatch.setattr(os, "fork", second_worker_fails)
         code, started = run_with_workers(monkeypatch, tmp_path / "w2", 2, compare_args("run"))
-        # the training corpus gets 1 of its 2 workers, the other calls both;
+        # the two corpora and the warm-up each get 1 of their 2 workers;
         # then the 3 fine-tunes
-        assert (code, started, len(forks)) == (0, [1, 2, 2], 9)
+        assert (code, started, len(forks)) == (0, [1, 1, 1], 9)
         assert read_outputs(tmp_path / "w2" / "run") == read_outputs(tmp_path / "w0" / "run")
         assert multiprocessing.active_children() == []
 
