@@ -6,11 +6,15 @@ data, so nothing is pickled to start it. Every child ignores SIGINT (Ctrl-C
 reaches the whole process group; the parent alone handles it and ends its
 children), answers over a pipe, and sends an error back with its traceback
 as text. A child that cannot be forked, or that ends without an answer,
-raises FineTuneLost naming it.
+raises FineTuneLost naming it. On Linux the kernel kills a child when the
+thread that forked it ends (`PR_SET_PDEATHSIG`), so a child never outlives
+a killed parent; elsewhere a child ends at its next answer, which finds
+the pipe closed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import multiprocessing
@@ -24,6 +28,7 @@ from ._blas import one_blas_thread
 from .errors import FineTuneLost
 
 _CONTEXT = multiprocessing.get_context("fork")
+_PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
 
 
 def worker_count() -> int:
@@ -43,15 +48,33 @@ class ChildTraceback(Exception):
 
 def answer(conn, call):
     """Send back call()'s result, or the exception it raised; the traceback
-    does not pickle, so its text goes along."""
+    does not pickle, so its text goes along. A closed pipe means the parent
+    has ended, and nobody is left to answer."""
     try:
         reply = (True, call())
     except Exception as exc:
         reply = (False, (exc, traceback.format_exc()))
-    conn.send(reply)
+    try:
+        conn.send(reply)
+    except BrokenPipeError:
+        pass
 
 
-def _child(conn, parent_end, body):
+def _end_with(parent_pid):
+    """Have the kernel kill this process when its parent ends, and end now
+    if the parent has already; a no-op where prctl is missing."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is None:
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent_pid:  # it ended before prctl took effect
+        os._exit(0)
+
+
+def _child(conn, parent_end, body, parent_pid):
+    _end_with(parent_pid)
     # without the parent's end, recv sees end-of-file once the parent has ended
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -65,7 +88,10 @@ class Forked:
         self.name = name
         self._conn, child_end = _CONTEXT.Pipe()
         self._process = _CONTEXT.Process(
-            target=_child, args=(child_end, self._conn, body), name=f"chunksc {name}", daemon=True
+            target=_child,
+            args=(child_end, self._conn, body, os.getpid()),
+            name=f"chunksc {name}",
+            daemon=True,
         )
         # the parent closes its copy of the child's end, so that recv sees
         # end-of-file once the child has ended

@@ -6,10 +6,11 @@ fine-tune or worker process that ended without a result, 2 input error, 3
 numerical divergence. Config precedence is flags > config file > defaults;
 the effective config is echoed as a comment header into every output file.
 
-Processes: `eval` and `distribution` run in one. In `train` and `compare`,
-each call that builds a corpus or runs a stage alone (both stages of
-`train`, the warm-up of `compare`) forks one worker per other CPU the
-process may run on, once its data exists, and stops them before it
+Processes: `eval` and `distribution` run in one, which reads every manifest
+row into one sample buffer per role (see `_evaluate_manifest`). In `train`
+and `compare`, each call that builds a corpus or runs a stage alone (both
+stages of `train`, the warm-up of `compare`) forks one worker per other CPU
+the process may run on, once its data exists, and stops them before it
 returns; `compare` then forks one process per fine-tune. No flag, config
 key or environment variable sets the count, and the outputs do not depend
 on it (see `_training_stages`).
@@ -198,12 +199,20 @@ def _read_manifest(path: str) -> list[tuple[int, tuple[str, str, str]]]:
 def _evaluate_manifest(args):
     """The scores of every manifest row. They run on one BLAS thread: the
     thread count changes the last bits of a dot product of over 10,000
-    samples, and so of the utterance SI-SDR."""
+    samples, and so of the utterance SI-SDR.
+
+    Each role (estimate, target, mixture) has one sample buffer for the
+    whole call: every row is read into it, and a longer file replaces it
+    by the larger array `read_wav` allocates. So no Waveform outlives its
+    row, and a row keeps only floats and its ScStatistics, whose arrays
+    are copies."""
     setup = _loss_setup(args, args.hop_ms if args.eval_hop == "overlap" else args.chunk_ms)
     report = []
+    buffers = [np.empty(0)] * 3
     for line, row in _read_manifest(args.manifest):
         try:
-            est, tgt, mix = (read_wav(p) for p in row)
+            est, tgt, mix = waves = [read_wav(p, out) for p, out in zip(row, buffers)]
+            buffers = [max(out, w.samples, key=len) for out, w in zip(buffers, waves)]
             # si_sdr checks the estimate against the target before chunking,
             # so a short estimate is reported as a mismatch; sc_statistics
             # checks the mixture by name before si_sdr scores it. sisdri is

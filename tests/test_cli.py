@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from chunksc import (
     ChunkingConfig,
@@ -251,6 +252,57 @@ class TestEval:
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n")
         assert main(["eval", "--manifest", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_rows_read_into_reused_buffers_score_as_each_row_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # long -> short -> long, float32 at 16 kHz and PCM16 at 8 kHz
+        rng = np.random.default_rng(3)
+        triples = []
+        for i, (seconds, rate, pcm) in enumerate([(2, 16000, False), (1, 8000, True),
+                                                  (3, 16000, False)]):
+            tgt, other = rng.uniform(-0.5, 0.5, size=(2, seconds * rate))
+            paths = [str(tmp_path / f"{name}{i}.wav") for name in ("est", "tgt", "mix")]
+            for path, x in zip(paths, (tgt + 0.3 * other, tgt, tgt + other)):
+                if pcm:
+                    wavfile.write(path, rate, np.round(x * 32767).astype(np.int16))
+                else:
+                    write_wav(path, Waveform(x, rate))
+            triples.append(paths)
+        args = ["--eval-hop", "overlap"]
+
+        def report_rows(rows, name):
+            out = tmp_path / f"{name}.csv"
+            manifest = tmp_path / f"{name}-manifest.csv"
+            manifest.write_text("".join(",".join(t) + "\n" for t in rows))
+            assert main(["eval", "--manifest", str(manifest), "--out", str(out), *args]) == 0
+            return out.read_text().splitlines()[2:-1]  # no config, header or summary
+
+        alone = [line for i, t in enumerate(triples) for line in report_rows([t], f"alone{i}")]
+        assert report_rows(triples, "together") == alone
+
+        reads, real_read = [], cli.read_wav
+
+        def recording_read(path, out):
+            reads.append(real_read(path, out))
+            return reads[-1]
+
+        monkeypatch.setattr(cli, "read_wav", recording_read)
+        report = _evaluate_manifest(parse_args(
+            ["eval", "--manifest", write_manifest(tmp_path, triples), "--out", "r.csv", *args]))
+        estimates = [w.samples for w in reads[::3]]
+        assert np.shares_memory(estimates[1], estimates[0])  # the short row reused the buffer
+        for row in report:
+            assert not any(np.shares_memory(row["stats"].chunk_sisdri, w.samples) for w in reads)
+
+        broken = tmp_path / "broken.wav"
+        broken.write_text("not audio\n")
+        manifest = write_manifest(tmp_path, [*triples, (triples[0][0], str(broken), triples[0][2])])
+        monkeypatch.undo()
+        assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: manifest line 4 ({triples[0][0]}): {broken}: not a WAV file"
+        )
 
 
 class TestDistribution:
@@ -691,7 +743,48 @@ class TestWorkers:
                     os.kill(worker, signal.SIGKILL)
 
 
+def test_an_answer_to_a_parent_that_has_ended_is_dropped():
+    parent_end, child_end = multiprocessing.Pipe()
+    parent_end.close()
+    with child_end:
+        _fork.answer(child_end, lambda: 1)  # no BrokenPipeError
+
+
+def children_of(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
 class TestCompare:
+    def test_fine_tunes_end_quietly_when_compare_is_killed(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = compare_args("cmp", "--finetune-epochs", "50", "--train-size", "40")
+        proc = subprocess.Popen([sys.executable, "-m", "chunksc.cli", *argv], cwd=tmp_path,
+                                env=env, stderr=subprocess.PIPE, text=True)
+        children = []
+        with proc:
+            try:
+                # the fine-tunes are forked before the warm-up checkpoint is written
+                ends = time.monotonic() + 60
+                while not (tmp_path / "cmp" / "warmup_checkpoint.json").exists():
+                    assert proc.poll() is None and time.monotonic() < ends
+                    time.sleep(0.02)
+                children = children_of(proc.pid)
+                assert len(children) == 3
+                proc.kill()
+                proc.wait()
+                ends = time.monotonic() + 2
+                while any(map(alive, children)) and time.monotonic() < ends:
+                    time.sleep(0.05)
+                assert not any(map(alive, children))
+                assert "Traceback" not in proc.communicate(timeout=10)[1]
+            finally:
+                proc.kill()
+                for child in filter(alive, children):
+                    os.kill(child, signal.SIGKILL)
+
     def test_smoke_run_shares_warmup(self, tmp_path):
         out = tmp_path / "cmp"
         code = main(
