@@ -34,7 +34,14 @@ import numpy as np
 from ._blas import one_blas_thread
 from ._fork import Forked, answer, worker_count
 from .errors import ChunkscError, DivergenceDetected, FineTuneLost
-from .extractor import LossSetup, TrainConfig, history_to_csv, save_checkpoint, train
+from .extractor import (
+    LossSetup,
+    TrainConfig,
+    checkpoint_text,
+    history_to_csv,
+    save_checkpoint,
+    train,
+)
 from .losses import LossKind, ScaleLossConfig, WeightLossConfig
 from .metrics import (
     BinEdges,
@@ -295,7 +302,9 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     params, history): first (None, ...) for the plain-loss warm-up of
     --warmup-epochs at --lr from the seed's initialization, then one
     fine-tune per loss kind in `kinds` order, each starting from the warm-up
-    parameters.
+    parameters and from its last validation scores, which are those of the
+    same parameters, so no fine-tune scores them again (a warm-up of 0
+    epochs has none, and each fine-tune scores its start itself).
 
     Building each corpus and each stage that runs alone (the warm-up, and a
     single fine-tune) is one call, which forks one worker per other CPU
@@ -304,9 +313,13 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     cores themselves: each runs in its own forked process, without workers,
     all of them at once, started before the warm-up is yielded. Fork hands
     each process the corpora, the settings and the warm-up parameters
-    without pickling. Training runs on one BLAS thread, so the processes do
-    not crowd each other's cores and the bits depend on neither the thread
-    count nor the worker count.
+    without pickling. Each sends back its parameters already encoded, as
+    their `checkpoint_text`, which the generator yields in their place and
+    `save_checkpoint` takes as it takes parameters: so the processes encode
+    their checkpoints at once, and this one writes them without encoding
+    any after the last process ends. Training runs on one BLAS thread, so
+    the processes do not crowd each other's cores and the bits depend on
+    neither the thread count nor the worker count.
 
     Results come in `kinds` order, so every output is the same as from one
     process. A DivergenceDetected propagates from the first stage in that
@@ -342,13 +355,20 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
                 return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params, **kw)
 
             warm, history = stage(LossKind.PLAIN, warm_cfg, None, workers=n_workers)
+            scores = (history[-1].val_sisdri, history[-1].val_rscr) if history else None
             if len(kinds) == 1:
                 yield None, warm, history
-                yield (kinds[0], *stage(kinds[0], tune_cfg, warm, workers=n_workers))
+                yield (kinds[0], *stage(kinds[0], tune_cfg, warm, workers=n_workers,
+                                        start_scores=scores))
                 return
+
+            def encoded(kind):
+                params, rows = stage(kind, tune_cfg, warm, start_scores=scores)
+                return checkpoint_text(params), rows
+
             for kind in kinds:
-                run = partial(stage, kind, tune_cfg, warm)
-                children.append(Forked(f"{kind.value} fine-tune", partial(answer, call=run)))
+                run = partial(answer, call=partial(encoded, kind))
+                children.append(Forked(f"{kind.value} fine-tune", run))
             yield None, warm, history
             for kind, child in zip(kinds, children):
                 yield (kind, *child.result())
@@ -402,13 +422,14 @@ def cmd_compare(args) -> int:
         rows = []
         try:
             for kind, params, history in stages:
-                name = "warmup" if kind is None else kind.value
-                path = os.path.join(args.out, f"{name}_checkpoint.json")
-                save_checkpoint(path, params)
                 if kind is None:
-                    with open(path, "rb") as fh:
-                        warm_hash = hashlib.sha256(fh.read()).hexdigest()
+                    text = checkpoint_text(params)
+                    # the file holds the text's bytes: it is ASCII
+                    warm_hash = hashlib.sha256(text.encode()).hexdigest()
+                    save_checkpoint(os.path.join(args.out, "warmup_checkpoint.json"), text)
                     continue
+                name = kind.value
+                save_checkpoint(os.path.join(args.out, f"{name}_checkpoint.json"), params)
                 final = history[-1]
                 rows.append([name, warm_hash, final.val_sisdri, final.val_rscr])
                 with open(os.path.join(args.out, f"{name}_history.csv"), "w") as fh:

@@ -303,6 +303,7 @@ def train(
     setup: LossSetup | None = None,
     start_params: ToyExtractorParams | None = None,
     workers: int = 0,
+    start_scores: tuple[float, float] | None = None,
 ) -> tuple[ToyExtractorParams, list[HistoryRow]]:
     """Mini-batch SGD with reduce-on-plateau learning-rate halving.
 
@@ -318,6 +319,11 @@ def train(
     memory; each writes the gradient of a batch example into that
     example's shared slot. This process adds the gradients in batch order,
     as one process would.
+
+    `start_scores`, when given, is `evaluate_corpus` of the start parameters
+    on `validation` with this `setup`, as (SI-SDRi, r_scr): history row 0
+    takes it instead of scoring them again. Validation reads no `loss_kind`,
+    so a fine-tune can take the last row of the stage it starts from.
     """
     if not corpus or not validation:
         raise ValueError("corpus and validation must be non-empty")
@@ -335,8 +341,9 @@ def train(
     stale_epochs = 0
 
     try:
-        val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, pool)
-        history.append(HistoryRow(0, float("nan"), val_sisdri, val_rscr))
+        if start_scores is None:
+            start_scores = evaluate_corpus(params, validation, setup, pool)
+        history.append(HistoryRow(0, float("nan"), *start_scores))
 
         param_names = [f.name for f in fields(ToyExtractorParams)]
         for epoch in range(1, cfg.epochs + 1):
@@ -392,8 +399,9 @@ def history_to_csv(history: list[HistoryRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_checkpoint(path: str, p: ToyExtractorParams) -> None:
-    """JSON checkpoint: named arrays with shapes."""
+def checkpoint_text(p: ToyExtractorParams) -> str:
+    """The JSON checkpoint of `p`, named arrays with shapes, as `save_checkpoint`
+    writes it: ASCII, with no newline."""
     payload = {
         "format": "chunksc-params-v1",
         "arrays": {
@@ -404,9 +412,15 @@ def save_checkpoint(path: str, p: ToyExtractorParams) -> None:
             for f in fields(ToyExtractorParams)
         },
     }
-    # one write of json.dumps, whose C encoder json.dump does not use
+    # json.dumps, whose C encoder json.dump does not use
+    return json.dumps(payload)
+
+
+def save_checkpoint(path: str, p: ToyExtractorParams | str) -> None:
+    """Write the JSON checkpoint of parameters `p`, or `p` when it is their
+    `checkpoint_text` already, in one write."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
+        fh.write(p if isinstance(p, str) else checkpoint_text(p))
 
 
 def load_checkpoint(path: str) -> ToyExtractorParams:

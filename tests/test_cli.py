@@ -533,6 +533,29 @@ class TestTrain:
         assert main(train_args(str(out))) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_matches_an_in_process_warm_up_and_fine_tune_byte_for_byte(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(train_args(str(out), extra=("--warmup-epochs", "2", "--loss", "weight"))) == 0
+        setup = LossSetup(chunking=ChunkingConfig(chunk_len_ms=250.0, hop_ms=125.0))
+        corpus, validation = make_corpus(6, seed=1), make_corpus(3, seed=1001)
+        warm_cfg = TrainConfig(learning_rate=0.2, epochs=2, batch=8, seed=1)
+        warm, history = train(warm_cfg, corpus, validation, setup)
+        tune_cfg = replace(warm_cfg, learning_rate=0.0002)
+        params, rows = train(tune_cfg, corpus, validation,
+                             replace(setup, loss_kind=LossKind.WEIGHT), warm)
+        for row in rows:
+            row.epoch += 2
+        history += rows
+        # the fine-tune's row 0 repeats the warm-up's last validation
+        assert [row.epoch for row in history] == [0, 1, 2, 2, 3, 4]
+        warm_last, tune_first = history[2:4]
+        assert np.isnan(tune_first.train_loss)
+        assert (tune_first.val_sisdri, tune_first.val_rscr) == (warm_last.val_sisdri, warm_last.val_rscr)
+        body = (out / "history.csv").read_text().split("\n", 1)[1]
+        assert body == history_to_csv(history)
+        save_checkpoint(str(tmp_path / "expected.json"), params)
+        assert (out / "checkpoint.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
     def test_divergence_exits_3_with_the_renumbered_history(self, tmp_path, monkeypatch, capsys):
         real_train = cli.train
         rows = [HistoryRow(0, float("nan"), 1.5, 40.0), HistoryRow(1, 2.0, 1.75, 30.0)]

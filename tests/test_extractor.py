@@ -33,6 +33,7 @@ from chunksc.extractor import (
     ToyExtractorParams,
     TrainConfig,
     backward,
+    checkpoint_text,
     enrollment_stats,
     evaluate_corpus,
     evaluate_loss,
@@ -332,6 +333,25 @@ class TestTraining:
         _, history = train(cfg, self.CORPUS, self.VAL)
         assert history[-1].val_sisdri > history[0].val_sisdri
 
+    def test_start_scores_stand_in_for_scoring_the_start(self, monkeypatch):
+        start, _ = train(TrainConfig(epochs=1, learning_rate=0.2, seed=3), self.CORPUS, self.VAL)
+        setup = LossSetup(loss_kind=LossKind.WEIGHT)
+        cfg = TrainConfig(epochs=2, learning_rate=0.01, seed=3)
+        scores = evaluate_corpus(start, self.VAL, setup)
+        calls, real_evaluate = [], extractor.evaluate_corpus
+
+        def counting(*args):
+            calls.append(None)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(extractor, "evaluate_corpus", counting)
+        p1, h1 = train(cfg, self.CORPUS, self.VAL, setup, start, start_scores=scores)
+        assert len(calls) == cfg.epochs
+        p2, h2 = train(cfg, self.CORPUS, self.VAL, setup, start)
+        assert len(calls) == 2 * cfg.epochs + 1
+        assert history_to_csv(h1) == history_to_csv(h2)
+        assert checkpoint_text(p1) == checkpoint_text(p2)
+
     def test_divergence_reported_with_history(self):
         bad = init_params(0)
         bad.encoder = bad.encoder * np.nan
@@ -477,6 +497,16 @@ class TestSerialization:
         expected = io.StringIO()
         json.dump(payload, expected)
         assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_checkpoint_text_is_what_save_checkpoint_writes(self, tmp_path):
+        p = init_params(4)
+        p.mask_b1[:6] = [-0.0, 5e-324, 1.0 / 3.0, 1e16, -2.5e-300, 123456789.125]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), p)
+        text = checkpoint_text(p)
+        assert path.read_bytes() == text.encode()
+        save_checkpoint(str(path), text)  # the text is written as it is
+        assert path.read_bytes() == text.encode()
 
     def test_checkpoint_reads_back_to_the_bit(self, tmp_path):
         p = init_params(4)
