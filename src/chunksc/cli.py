@@ -328,9 +328,10 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     FineTuneLost. Closing the generator, or an error from it, terminates and
     joins every process still running.
     """
-    for flag, n_examples in (("--train-size", args.train_size), ("--val-size", args.val_size)):
-        if n_examples < 1:
-            raise ValueError(f"{flag} must be at least 1, got {n_examples}")
+    for flag, value, least in (("--seed", args.seed, 0), ("--train-size", args.train_size, 1),
+                               ("--val-size", args.val_size, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     setup = replace(
         _loss_setup(args, args.hop_ms),
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),

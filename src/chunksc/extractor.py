@@ -278,21 +278,18 @@ def _score_examples(p, corpus, setup, indices):
 
 
 def _backward_examples(params, corpus, setup, slots, tasks):
-    """`backward` on corpus[i] for each (i, slot) of `tasks`, in order: the
-    loss value with the gradients, or, when slot is a batch position, the
-    loss value alone, with the gradients written into that slot of `slots`.
+    """`backward` on corpus[i] for each (position, i) of `tasks`, in order,
+    its gradients written into slot `position` of `slots`: the loss values.
     Raises DivergenceDetected at the first non-finite loss."""
-    out = []
-    for i, slot in tasks:
+    values = []
+    for position, i in tasks:
         grads, result = backward(params, corpus[i], setup)
         if not math.isfinite(result.value):
             raise DivergenceDetected(f"non-finite loss on example {i}", [])
-        if slot is not None:
-            for f in fields(grads):
-                getattr(slots, f.name)[slot] = getattr(grads, f.name)
-            grads = None
-        out.append((grads, result.value))
-    return out
+        for f in fields(grads):
+            getattr(slots, f.name)[position] = getattr(grads, f.name)
+        values.append(result.value)
+    return values
 
 
 @one_blas_thread()
@@ -316,9 +313,9 @@ def train(
     stopped before the return, take their share of each batch and each
     validation pass, to the same bits. They read the corpora as forked, and
     the parameters, which this process updates in place, from shared
-    memory; each writes the gradient of a batch example into that
-    example's shared slot. This process adds the gradients in batch order,
-    as one process would.
+    memory. Every process, this one too, writes the gradient of each batch
+    example it takes into that example's shared slot, and the update adds
+    the slots in batch order, as one process would.
 
     `start_scores`, when given, is `evaluate_corpus` of the start parameters
     on `validation` with this `setup`, as (SI-SDRi, r_scr): history row 0
@@ -351,26 +348,15 @@ def train(
             losses = []
             for lo in range(0, len(order), cfg.batch):
                 batch = order[lo : lo + cfg.batch]
-                # this process keeps the gradients of its own block; the
-                # workers write theirs into the slot of each batch position
-                blocks = pool.split((int(i), p) for p, i in enumerate(batch))
-                blocks[0] = [(i, None) for i, _ in blocks[0]]
+                blocks = pool.split(enumerate(batch.tolist()))
                 done = pool.map(_backward_examples, blocks, params, corpus, setup, slots)
-                acc = None
-                for position, (grads, value) in enumerate(item for block in done for item in block):
-                    losses.append(value)
-                    if grads is None:
-                        grads = ToyExtractorParams(
-                            **{name: getattr(slots, name)[position] for name in param_names}
-                        )
-                    if acc is None:
-                        acc = grads
-                    else:
-                        for name in param_names:
-                            getattr(acc, name).__iadd__(getattr(grads, name))
+                losses += [value for values in done for value in values]
                 scale = lr / len(batch)
                 for name in param_names:
-                    getattr(params, name).__isub__(scale * getattr(acc, name))
+                    # an axis-0 sum adds the slots in batch order; starting
+                    # from -0.0 keeps the sign of a zero, as a += chain does
+                    grad = getattr(slots, name)[: len(batch)].sum(axis=0, initial=-0.0)
+                    getattr(params, name).__isub__(scale * grad)
             val_sisdri, val_rscr = evaluate_corpus(params, validation, setup, pool)
             history.append(HistoryRow(epoch, float(np.mean(losses)), val_sisdri, val_rscr))
             if val_sisdri > best_val:

@@ -504,7 +504,7 @@ class TestTrain:
         out = tmp_path / "run"
         for flags in (("--lr", "nan"), ("--train-size", "0"), ("--val-size", "0"),
                       ("--train-size", "-3"), ("--hop-ms", "300"), ("--chunk-ms", "5000"),
-                      ("--duration", "0.5")):
+                      ("--duration", "0.5"), ("--seed", "-1")):
             args = [command, "--train-size", "4", "--val-size", "2", *flags, "--out", str(out)]
             assert main(args) == 2, flags
             assert not out.exists(), flags
@@ -517,6 +517,14 @@ class TestTrain:
         args = [command, "--train-size", "2", "--val-size", "2", flag, "0", "--out", str(out)]
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_negative_seed_refusal_names_the_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        args = [command, "--train-size", "2", "--val-size", "2", "--seed", "-1", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
         assert not out.exists()
 
     def test_non_finite_weights_exit_2_before_out_is_made(self, tmp_path, capsys):
@@ -630,11 +638,15 @@ def alive(pid):
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("command", ["train", "compare"])
-    def test_outputs_are_the_same_bytes_at_any_worker_count(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("args, calls", [
         # train: two corpora, warm-up, fine-tune; compare: two corpora, warm-up
-        args, calls = ((compare_args("run"), 3) if command == "compare"
-                       else (train_args("run", extra=("--warmup-epochs", "1", "--loss", "scale")), 4))
+        (train_args("run", extra=("--warmup-epochs", "1", "--loss", "scale")), 4),
+        # batches of 3, 3 and 1 an epoch: the last one shorter than the processes
+        (train_args("run", extra=("--train-size", "7", "--batch", "3", "--warmup-epochs", "1",
+                                  "--loss", "weight")), 4),
+        (compare_args("run"), 3),
+    ], ids=["train", "train-short-last-batch", "compare"])
+    def test_outputs_are_the_same_bytes_at_any_worker_count(self, tmp_path, monkeypatch, args, calls):
         outputs = {}
         for n in (0, 1, 2):
             code, started = run_with_workers(monkeypatch, tmp_path / f"w{n}", n, args)

@@ -352,6 +352,42 @@ class TestTraining:
         assert history_to_csv(h1) == history_to_csv(h2)
         assert checkpoint_text(p1) == checkpoint_text(p2)
 
+    def test_each_batch_steps_by_the_summed_gradients_of_its_own_examples(self):
+        # 5 examples in batches of 3: the last batch, of 2, must not add the
+        # slot its position 2 held in the batch before
+        cfg = TrainConfig(epochs=1, learning_rate=0.1, batch=3, seed=2)
+        corpus, setup = self.CORPUS[:5], LossSetup()
+        params, _ = train(cfg, corpus, self.VAL[:1], setup, start_scores=(0.0, 0.0))
+        expected = init_params(cfg.seed)
+        order = np.random.default_rng(cfg.seed).permutation(len(corpus))
+        for batch in (order[:3], order[3:]):
+            with one_blas_thread():  # as train runs
+                grads = [backward(expected, corpus[i], setup)[0] for i in batch]
+            for f in dataclasses.fields(expected):
+                total = getattr(grads[0], f.name)
+                for g in grads[1:]:
+                    total += getattr(g, f.name)
+                getattr(expected, f.name).__isub__(cfg.learning_rate / len(batch) * total)
+        assert checkpoint_text(params) == checkpoint_text(expected)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_summed_slots_are_the_in_order_chain_to_the_bit(self, n):
+        # train adds a batch's gradient slots with one axis-0 sum per
+        # parameter; every output's bytes rest on it adding them in batch
+        # order, as a `+=` chain over the batch does, signed zeros included
+        rng = np.random.default_rng(n)
+        slots = init_params(0).zeros(8)
+        for f in dataclasses.fields(slots):
+            s = getattr(slots, f.name)
+            s[...] = rng.standard_normal(s.shape) * np.exp(rng.uniform(-30, 30, s.shape))
+            s[rng.random(s.shape) < 0.3] = -0.0
+            s[rng.random(s.shape) < 0.1] = 0.0
+            s[:, 0] = -0.0
+            chain = s[0].copy()
+            for k in range(1, n):
+                chain += s[k]
+            assert s[:n].sum(axis=0, initial=-0.0).tobytes() == chain.tobytes(), f.name
+
     def test_divergence_reported_with_history(self):
         bad = init_params(0)
         bad.encoder = bad.encoder * np.nan
