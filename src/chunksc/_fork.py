@@ -29,6 +29,7 @@ from .errors import FineTuneLost
 
 _CONTEXT = multiprocessing.get_context("fork")
 _PR_SET_PDEATHSIG = 1  # <linux/prctl.h>
+_M_TRIM_THRESHOLD, _M_TOP_PAD = -1, -2  # <malloc.h>
 
 
 def worker_count() -> int:
@@ -71,6 +72,27 @@ def _end_with(parent_pid):
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
     if os.getppid() != parent_pid:  # it ended before prctl took effect
         os._exit(0)
+
+
+def keep_freed_heap():
+    """Have glibc keep up to 256 MiB of free heap in this process, and grow
+    the heap by 64 MiB more than each request, where by default it hands the
+    free top of the heap back to the kernel; a no-op where mallopt is missing.
+
+    Each `backward` allocates and frees about 20 arrays just under glibc's
+    128 KiB mmap threshold, so they come from the heap, and by default each
+    example faults their pages in again. Setting them also freezes the mmap
+    threshold where it stands; glibc would otherwise go on raising it as it
+    frees larger mapped arrays. glibc has no getter, so the setting cannot
+    be undone; processes forked after it inherit it.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(_M_TOP_PAD, 64 << 20)
 
 
 def _child(conn, parent_end, body, parent_pid):

@@ -13,7 +13,11 @@ stages of `train`, the warm-up of `compare`) forks one worker per other CPU
 the process may run on, once its data exists, and stops them before it
 returns; `compare` then forks one process per fine-tune. No flag, config
 key or environment variable sets the count, and the outputs do not depend
-on it (see `_training_stages`).
+on it (see `_training_stages`). Before their first fork, `train` and
+`compare` have glibc keep freed heap in the process (`keep_freed_heap`), so
+the workers and fine-tunes inherit it, and each example's arrays reuse
+pages instead of faulting them in again. A process that calls `main` for
+them keeps the setting afterwards; only timing depends on it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
-from ._fork import Forked, answer, worker_count
+from ._fork import Forked, answer, keep_freed_heap, worker_count
 from .errors import ChunkscError, DivergenceDetected, FineTuneLost
 from .extractor import (
     LossSetup,
@@ -295,10 +299,13 @@ def cmd_distribution(args) -> int:
     return 0
 
 
-def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
-    """The warm-up/fine-tune sequence of `train` and `compare`.
+def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
+    """The warm-up/fine-tune sequence of `train` and `compare`, whose
+    fine-tunes run at the learning rate of `lr_flag` for the epochs of
+    `epochs_flag`.
 
-    Checks every setting at once, then returns a generator of (kind,
+    Checks every setting at once, naming its flag, then keeps freed heap in
+    this process (`keep_freed_heap`), then returns a generator of (kind,
     params, history): first (None, ...) for the plain-loss warm-up of
     --warmup-epochs at --lr from the seed's initialization, then one
     fine-tune per loss kind in `kinds` order, each starting from the warm-up
@@ -328,10 +335,17 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     FineTuneLost. Closing the generator, or an error from it, terminates and
     joins every process still running.
     """
+    finetune_lr, finetune_epochs = (getattr(args, flag[2:].replace("-", "_"))
+                                    for flag in (lr_flag, epochs_flag))
     for flag, value, least in (("--seed", args.seed, 0), ("--train-size", args.train_size, 1),
-                               ("--val-size", args.val_size, 1)):
+                               ("--val-size", args.val_size, 1), ("--batch", args.batch, 1),
+                               ("--warmup-epochs", args.warmup_epochs, 0),
+                               (epochs_flag, finetune_epochs, 0)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    for flag, value in {"--lr": args.lr, lr_flag: finetune_lr}.items():  # one entry if the same
+        if not 0 < value < math.inf:
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
     setup = replace(
         _loss_setup(args, args.hop_ms),
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
@@ -342,6 +356,8 @@ def _training_stages(args, kinds, finetune_lr: float, finetune_epochs: int):
     make_chunks(n_samples(args.duration), setup.chunking, DEFAULT_SAMPLE_RATE)
     warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
     tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
+    # before the first fork, so that every worker and fine-tune inherits it
+    keep_freed_heap()
 
     def stages():
         n_workers = worker_count()
@@ -387,8 +403,8 @@ def _renumber(history, offset):
 
 
 def cmd_train(args) -> int:
-    finetune_lr = args.finetune_lr if args.warmup_epochs > 0 else args.lr
-    stages = _training_stages(args, [LossKind(args.loss)], finetune_lr, args.epochs)
+    lr_flag = "--finetune-lr" if args.warmup_epochs > 0 else "--lr"
+    stages = _training_stages(args, [LossKind(args.loss)], lr_flag, "--epochs")
     with closing(stages):
         os.makedirs(args.out, exist_ok=True)
         params, history, offset = None, [], 0
@@ -417,7 +433,7 @@ def cmd_compare(args) -> int:
     if args.finetune_epochs < 1:
         raise ValueError("--finetune-epochs must be at least 1: each loss reports its last epoch")
     kinds = (LossKind.PLAIN, LossKind.SCALE, LossKind.WEIGHT)
-    stages = _training_stages(args, kinds, args.finetune_lr, args.finetune_epochs)
+    stages = _training_stages(args, kinds, "--finetune-lr", "--finetune-epochs")
     with closing(stages):
         os.makedirs(args.out, exist_ok=True)
         rows = []

@@ -3,12 +3,14 @@ import json
 import multiprocessing
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
 import time
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -483,9 +485,10 @@ class TestTrain:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--lr", "nan"], "learning_rate"),
-            (["--lr", "inf"], "learning_rate"),
-            (["--finetune-lr", "nan", "--warmup-epochs", "1"], "learning_rate"),
+            (["--lr", "nan"], "--lr must be finite and positive, got nan"),
+            (["--lr", "inf"], "--lr must be finite and positive, got inf"),
+            (["--finetune-lr", "nan", "--warmup-epochs", "1"],
+             "--finetune-lr must be finite and positive, got nan"),
             (["--duration", "inf"], "duration_s"),
             (["--duration", "nan"], "duration_s"),
         ],
@@ -504,7 +507,9 @@ class TestTrain:
         out = tmp_path / "run"
         for flags in (("--lr", "nan"), ("--train-size", "0"), ("--val-size", "0"),
                       ("--train-size", "-3"), ("--hop-ms", "300"), ("--chunk-ms", "5000"),
-                      ("--duration", "0.5"), ("--seed", "-1")):
+                      ("--duration", "0.5"), ("--seed", "-1"), ("--batch", "0"),
+                      ("--warmup-epochs", "-1"), ("--lr", "0"),
+                      ("--warmup-epochs", "1", "--finetune-lr", "0")):
             args = [command, "--train-size", "4", "--val-size", "2", *flags, "--out", str(out)]
             assert main(args) == 2, flags
             assert not out.exists(), flags
@@ -526,6 +531,30 @@ class TestTrain:
         assert main(args) == 2
         assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["train", "--batch", "0"], "--batch must be at least 1, got 0"),
+        (["train", "--epochs", "-1"], "--epochs must be at least 0, got -1"),
+        (["train", "--warmup-epochs", "-1"], "--warmup-epochs must be at least 0, got -1"),
+        (["train", "--lr", "0"], "--lr must be finite and positive, got 0.0"),
+        (["train", "--warmup-epochs", "1", "--finetune-lr", "0"],
+         "--finetune-lr must be finite and positive, got 0.0"),
+        (["compare", "--batch", "0"], "--batch must be at least 1, got 0"),
+        (["compare", "--warmup-epochs", "-1"], "--warmup-epochs must be at least 0, got -1"),
+        (["compare", "--finetune-lr", "-1"], "--finetune-lr must be finite and positive, got -1.0"),
+    ], ids=["train-batch", "train-epochs", "train-warmup-epochs", "train-lr", "train-finetune-lr",
+            "compare-batch", "compare-warmup-epochs", "compare-finetune-lr"])
+    def test_training_refusal_names_the_flag(self, tmp_path, capsys, args, message):
+        out = tmp_path / "run"
+        assert main([*args, "--train-size", "2", "--val-size", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_finetune_lr_without_a_warm_up_is_not_checked(self, tmp_path):
+        # without a warm-up, train runs its one stage at --lr
+        out = tmp_path / "run"
+        assert main(train_args(str(out), extra=("--epochs", "1", "--finetune-lr", "nan"))) == 0
+        assert (out / "checkpoint.json").exists()
 
     def test_non_finite_weights_exit_2_before_out_is_made(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -731,7 +760,8 @@ class TestWorkers:
             args, kinds = compare_args(tmp_path / "run"), list(LossKind)
         else:
             args, kinds = train_args(str(tmp_path / "run"), ("--warmup-epochs", "1")), [LossKind.PLAIN]
-        stages = cli._training_stages(parse_args(args), kinds, 0.0002, 1)
+        flags = ("--finetune-lr", "--finetune-epochs" if command == "compare" else "--epochs")
+        stages = cli._training_stages(parse_args(args), kinds, *flags)
         with closing(stages), deadline(60):
             kind, _, _ = next(stages)
             assert kind is None
@@ -783,6 +813,68 @@ def test_an_answer_to_a_parent_that_has_ended_is_dropped():
     parent_end.close()
     with child_end:
         _fork.answer(child_end, lambda: 1)  # no BrokenPipeError
+
+
+def test_keep_freed_heap_sets_both_settings_and_is_a_no_op_without_mallopt(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(_fork.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    _fork.keep_freed_heap()
+    # M_TRIM_THRESHOLD and M_TOP_PAD of <malloc.h>
+    assert calls == [(-1, 256 << 20), (-2, 64 << 20)]
+    monkeypatch.setattr(_fork.ctypes, "CDLL", lambda name: SimpleNamespace())
+    _fork.keep_freed_heap()  # no mallopt: nothing to call, no error
+
+
+def test_training_keeps_freed_heap_once_before_its_first_fork(tmp_path, monkeypatch):
+    events, real_fork = [], os.fork
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: events.append("keep"))
+    monkeypatch.setattr(os, "fork", lambda: events.append("fork") or real_fork())
+    monkeypatch.setattr(cli, "worker_count", lambda: 1)
+    assert main(compare_args(tmp_path / "refused", "--batch", "0")) == 2
+    assert events == []
+    with deadline(60):
+        assert main(compare_args(tmp_path / "run")) == 0
+    # a worker for each corpus and the warm-up, then the three fine-tunes
+    assert events == ["keep"] + ["fork"] * 6
+
+
+BACKWARD_FAULTS = """
+import resource, sys
+from dataclasses import replace
+from chunksc import LossKind, make_corpus
+from chunksc._fork import keep_freed_heap
+from chunksc.extractor import LossSetup, backward, init_params
+
+if sys.argv[1] == "keep":
+    keep_freed_heap()
+example = make_corpus(1, seed=0)[0]  # 2 s at 8 kHz, as in perfbench's train-compare
+params, setup = init_params(0), replace(LossSetup(), loss_kind=LossKind.WEIGHT)
+backward(params, example, setup)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    backward(params, example, setup)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+def test_backward_in_kept_heap_takes_a_fraction_of_the_page_faults():
+    # each side in a fresh interpreter: a process forked from this one would
+    # inherit the setting from any train or compare it ran before
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    faults = {}
+    for mode in ("keep", "default"):
+        run = subprocess.run([sys.executable, "-c", BACKWARD_FAULTS, mode], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        faults[mode] = int(run.stdout)
+    assert faults["keep"] < faults["default"] / 2, faults
 
 
 def children_of(pid):
