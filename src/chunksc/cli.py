@@ -8,16 +8,18 @@ the effective config is echoed as a comment header into every output file.
 
 Processes: `eval` and `distribution` run in one, which reads every manifest
 row into one sample buffer per role (see `_evaluate_manifest`). In `train`
-and `compare`, each call that builds a corpus or runs a stage alone (both
-stages of `train`, the warm-up of `compare`) forks one worker per other CPU
-the process may run on, once its data exists, and stops them before it
-returns; `compare` then forks one process per fine-tune. No flag, config
-key or environment variable sets the count, and the outputs do not depend
-on it (see `_training_stages`). Before their first fork, `train` and
-`compare` have glibc keep freed heap in the process (`keep_freed_heap`), so
-the workers and fine-tunes inherit it, and each example's arrays reuse
-pages instead of faulting them in again. A process that calls `main` for
-them keeps the setting afterwards; only timing depends on it.
+and `compare`, each corpus is rendered on threads, one per CPU the process
+may run on, all ended before it returns; no process is forked for it. Each
+stage that runs alone (both stages of `train`, the warm-up of `compare`)
+forks one worker per other CPU, once its data exists, and stops them
+before it returns; `compare` then forks one process per fine-tune. No
+flag, config key or environment variable sets the count, and the outputs
+do not depend on it (see `_training_stages`). Before their first fork,
+`train` and `compare` have glibc keep freed heap in the process
+(`keep_freed_heap`), so the workers and fine-tunes inherit it, and each
+example's arrays reuse pages instead of faulting them in again. A process
+that calls `main` for them keeps the setting afterwards; only timing
+depends on it.
 """
 
 from __future__ import annotations
@@ -313,14 +315,16 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
     same parameters, so no fine-tune scores them again (a warm-up of 0
     epochs has none, and each fine-tune scores its start itself).
 
-    Building each corpus and each stage that runs alone (the warm-up, and a
-    single fine-tune) is one call, which forks one worker per other CPU
-    this process may use once its data exists, and stops them before it
-    returns; so no worker lives between stages. Several fine-tunes fill the
-    cores themselves: each runs in its own forked process, without workers,
-    all of them at once, started before the warm-up is yielded. Fork hands
-    each process the corpora, the settings and the warm-up parameters
-    without pickling. Each sends back its parameters already encoded, as
+    Each corpus is rendered on threads (`make_corpus`), which have all ended
+    before it returns, so no rendering thread is alive at any later fork.
+    Each stage that runs alone (the warm-up, and a single fine-tune) is one
+    call, which forks one worker per other CPU this process may use once
+    its data exists, and stops them before it returns; so workers are
+    forked only to train, and none lives between stages. Several fine-tunes
+    fill the cores themselves: each runs in its own forked process, without
+    workers, all of them at once, started before the warm-up is yielded.
+    Fork hands each process the corpora, the settings and the warm-up
+    parameters without pickling. Each sends back its parameters already encoded, as
     their `checkpoint_text`, which the generator yields in their place and
     `save_checkpoint` takes as it takes parameters: so the processes encode
     their checkpoints at once, and this one writes them without encoding
@@ -363,10 +367,8 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
         n_workers = worker_count()
         children = []
         try:
-            corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration,
-                                 workers=n_workers)
-            validation = make_corpus(args.val_size, seed=args.seed + 1000,
-                                     duration_s=args.duration, workers=n_workers)
+            corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration)
+            validation = make_corpus(args.val_size, seed=args.seed + 1000, duration_s=args.duration)
 
             def stage(kind, cfg, params, **kw):
                 return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params, **kw)

@@ -9,12 +9,14 @@ exercised for real.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import one_blas_thread
-from ._fork import Workers, shared_zeros
+from ._fork import worker_count
 from .errors import SameSpeaker
 from .signal_core import Waveform
 
@@ -146,6 +148,43 @@ def make_speakers(n: int, seed: int) -> list[SyntheticSpeaker]:
     return speakers
 
 
+def _thread_count() -> int:
+    """Threads that render a corpus: one per CPU this process may run on."""
+    return 1 + worker_count()
+
+
+def _render_in_threads(duration_s, sample_rate, signals, enrollments, draws):
+    """`_render_examples` over `draws` in contiguous blocks, at most one per
+    thread, sizes differing by at most one, the larger first; the first
+    block on this thread. np.sin and the other whole-array ufuncs release
+    the GIL, so the threads run at once. Every thread has ended before the
+    return, also on error; then the first error in block order is raised."""
+    n_threads = min(len(draws), _thread_count())
+    q, r = divmod(len(draws), n_threads)
+    ends = [k * q + min(k, r) for k in range(n_threads + 1)]
+    errors = [None] * n_threads
+
+    def render(k):
+        try:
+            _render_examples(duration_s, sample_rate, signals, enrollments, draws[ends[k]:ends[k + 1]])
+        except Exception as exc:  # raised below, once every thread has ended
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, n_threads):
+            thread = threading.Thread(target=render, args=(k,), name=f"chunksc render {k}")
+            thread.start()
+            started.append(thread)
+        render(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 @one_blas_thread()
 def make_corpus(
     n_examples: int,
@@ -155,18 +194,25 @@ def make_corpus(
     snr_lo_db: float = -2.0,
     snr_hi_db: float = 2.0,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
-    workers: int = 0,
 ) -> list[MixtureExample]:
     """A corpus of random speaker pairs at random mixing SNRs, the same bits
     whatever the BLAS thread count (`gen_example` scales by dot products).
 
     The pairs, SNRs and seeds are drawn here, one example after another;
-    then the examples are rendered into one block of shared memory. With
-    `workers`, as many processes, forked once it exists and stopped before
-    the return, render their share of it, to the same bits.
+    then the examples are rendered on threads, one per CPU this process may
+    run on, each into its own rows of one array, to the same bits as
+    `gen_example` of each draw on one BLAS thread. No process is forked,
+    and no thread outlives the call.
     """
     if n_examples < 1:
         raise ValueError(f"n_examples must be at least 1, got {n_examples}")
+    if n_speakers < 2:
+        raise ValueError(f"n_speakers must be at least 2, got {n_speakers}")
+    if not -math.inf < snr_lo_db <= snr_hi_db < math.inf:
+        raise ValueError(f"snr_lo_db and snr_hi_db must be finite, with snr_lo_db <= snr_hi_db, "
+                         f"got {snr_lo_db} and {snr_hi_db}")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
     n = n_samples(duration_s, sample_rate)
     speakers = make_speakers(n_speakers, seed)
     rng = np.random.default_rng(seed + 1)
@@ -175,13 +221,9 @@ def make_corpus(
         a, b = rng.choice(len(speakers), size=2, replace=False)
         snr = rng.uniform(snr_lo_db, snr_hi_db)
         draws.append((j, speakers[a], speakers[b], float(snr), int(rng.integers(0, 2**31))))
-    signals = shared_zeros((n_examples, 3, n))
-    enrollments = shared_zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
-    pool = Workers(workers, signals, enrollments)
-    try:
-        pool.map(_render_examples, pool.split(draws), duration_s, sample_rate, signals, enrollments)
-    finally:
-        pool.stop()
+    signals = np.zeros((n_examples, 3, n))
+    enrollments = np.zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
+    _render_in_threads(duration_s, sample_rate, signals, enrollments, draws)
     return [
         _example(signals[j], enrollments[j], sample_rate, spk_a.id)
         for j, spk_a, *_ in draws

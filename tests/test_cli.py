@@ -668,12 +668,12 @@ def alive(pid):
 
 class TestWorkers:
     @pytest.mark.parametrize("args, calls", [
-        # train: two corpora, warm-up, fine-tune; compare: two corpora, warm-up
-        (train_args("run", extra=("--warmup-epochs", "1", "--loss", "scale")), 4),
+        # train: warm-up, fine-tune; compare: warm-up (the corpora are rendered on threads)
+        (train_args("run", extra=("--warmup-epochs", "1", "--loss", "scale")), 2),
         # batches of 3, 3 and 1 an epoch: the last one shorter than the processes
         (train_args("run", extra=("--train-size", "7", "--batch", "3", "--warmup-epochs", "1",
-                                  "--loss", "weight")), 4),
-        (compare_args("run"), 3),
+                                  "--loss", "weight")), 2),
+        (compare_args("run"), 1),
     ], ids=["train", "train-short-last-batch", "compare"])
     def test_outputs_are_the_same_bytes_at_any_worker_count(self, tmp_path, monkeypatch, args, calls):
         outputs = {}
@@ -706,7 +706,7 @@ class TestWorkers:
         runs = {}
         for n in (0, 1):
             code, started = run_with_workers(monkeypatch, tmp_path / f"w{n}", n, args)
-            assert (code, started) == (3, [n] * 3)  # two corpora, the warm-up
+            assert (code, started) == (3, [n])  # the warm-up
             runs[n] = (capsys.readouterr().err, read_outputs(tmp_path / f"w{n}" / "run"))
         assert runs[1] == runs[0]
         err, files = runs[1]
@@ -725,8 +725,8 @@ class TestWorkers:
 
         monkeypatch.setattr(extractor, "backward", dies_in_a_worker)
         code, started = run_with_workers(monkeypatch, tmp_path / "w1", 1, train_args("run"))
-        # two corpora, then the training stage; a warm-up of 0 epochs forks nothing
-        assert (code, started) == (1, [1, 1, 1])
+        # the training stage; a warm-up of 0 epochs forks nothing
+        assert (code, started) == (1, [1])
         assert capsys.readouterr().err == (
             "error: the worker 1 process ended with exit code 9 before sending a result\n"
         )
@@ -736,20 +736,19 @@ class TestWorkers:
         self, tmp_path, monkeypatch
     ):
         code, started = run_with_workers(monkeypatch, tmp_path / "w0", 0, compare_args("run"))
-        assert (code, started) == (0, [0, 0, 0])
+        assert (code, started) == (0, [0])
         real_fork, forks = os.fork, []
 
         def second_worker_fails():
             forks.append(os.getpid())
-            if len(forks) in (2, 4, 6):
+            if len(forks) == 2:
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
             return real_fork()
 
         monkeypatch.setattr(os, "fork", second_worker_fails)
         code, started = run_with_workers(monkeypatch, tmp_path / "w2", 2, compare_args("run"))
-        # the two corpora and the warm-up each get 1 of their 2 workers;
-        # then the 3 fine-tunes
-        assert (code, started, len(forks)) == (0, [1, 1, 1], 9)
+        # the warm-up gets 1 of its 2 workers; then the 3 fine-tunes
+        assert (code, started, len(forks)) == (0, [1], 5)
         assert read_outputs(tmp_path / "w2" / "run") == read_outputs(tmp_path / "w0" / "run")
         assert multiprocessing.active_children() == []
 
@@ -839,8 +838,8 @@ def test_training_keeps_freed_heap_once_before_its_first_fork(tmp_path, monkeypa
     assert events == []
     with deadline(60):
         assert main(compare_args(tmp_path / "run")) == 0
-    # a worker for each corpus and the warm-up, then the three fine-tunes
-    assert events == ["keep"] + ["fork"] * 6
+    # a worker for the warm-up, then the three fine-tunes
+    assert events == ["keep"] + ["fork"] * 4
 
 
 BACKWARD_FAULTS = """

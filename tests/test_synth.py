@@ -1,7 +1,13 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from chunksc import SameSpeaker, gen_example, make_corpus, make_speakers
+from chunksc import SameSpeaker, gen_example, make_corpus, make_speakers, synth
+from chunksc._blas import one_blas_thread
 from chunksc.synth import DEFAULT_SAMPLE_RATE, ENROLLMENT_SECONDS, render_utterance
 
 
@@ -98,3 +104,116 @@ class TestMakeCorpus:
     def test_no_examples_rejected(self, n):
         with pytest.raises(ValueError, match="n_examples"):
             make_corpus(n, seed=21)
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"n_speakers": 1}, "n_speakers"),
+        ({"snr_lo_db": 5.0, "snr_hi_db": -5.0}, "snr_lo_db"),
+        ({"snr_lo_db": float("nan")}, "snr_lo_db"),
+        ({"sample_rate": 0}, "sample_rate"),
+        ({"sample_rate": -8000}, "sample_rate"),
+    ], ids=["one-speaker", "snr-range-reversed", "snr-nan", "rate-zero", "rate-negative"])
+    def test_bad_argument_refused_by_name_before_rendering(self, monkeypatch, kw, name):
+        def renders(*args):
+            raise AssertionError("rendering started")
+
+        monkeypatch.setattr(synth, "_render_in_threads", renders)
+        with pytest.raises(ValueError, match=name):
+            make_corpus(3, seed=21, **kw)
+
+
+def draws_of(n_examples, seed, n_speakers=8):
+    """(target, interferer, snr_db, seed) of each example of make_corpus,
+    drawn as it draws them, one example after another."""
+    speakers = make_speakers(n_speakers, seed)
+    rng = np.random.default_rng(seed + 1)
+    draws = []
+    for _ in range(n_examples):
+        a, b = rng.choice(n_speakers, size=2, replace=False)
+        snr = float(rng.uniform(-2.0, 2.0))
+        draws.append((speakers[a], speakers[b], snr, int(rng.integers(0, 2**31))))
+    return draws
+
+
+def waveforms(ex):
+    return [w.samples for w in (ex.mixture, ex.target, ex.interferer, ex.enrollment)]
+
+
+class TestRenderThreads:
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """(thread name, example indices) of each block rendered; the blocks of
+        one call may come in any order."""
+        seen, real_render = [], synth._render_examples
+
+        def recorded(duration_s, sample_rate, signals, enrollments, draws):
+            seen.append((threading.current_thread().name, [j for j, *_ in draws]))
+            return real_render(duration_s, sample_rate, signals, enrollments, draws)
+
+        monkeypatch.setattr(synth, "_render_examples", recorded)
+        return seen
+
+    def test_every_example_is_its_draw_at_any_thread_count(self, monkeypatch, blocks):
+        # gen_example scales by a dot product, whose last bits follow the
+        # BLAS thread count; make_corpus holds BLAS to one thread
+        with one_blas_thread():
+            expected = [gen_example(a, b, 2.0, snr, seed) for a, b, snr, seed in draws_of(7, seed=30)]
+        blocks.clear()  # gen_example renders through the same function
+        corpora = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for count in (1, 2, 3):
+                monkeypatch.setattr(synth, "_thread_count", lambda count=count: count)
+                corpora[count] = make_corpus(7, seed=30)
+        finally:
+            sys.setswitchinterval(interval)
+        for count, corpus in corpora.items():
+            for ex, want in zip(corpus, expected, strict=True):
+                assert ex.target_id == want.target_id
+                for got, ref in zip(waveforms(ex), waveforms(want)):
+                    assert np.array_equal(got, ref), count
+        # contiguous blocks, the larger first, the first on the calling thread
+        main = threading.current_thread().name
+        assert blocks[:1] == [(main, list(range(7)))]
+        assert sorted(blocks[1:3]) == sorted([(main, [0, 1, 2, 3]), ("chunksc render 1", [4, 5, 6])])
+        assert sorted(blocks[3:]) == sorted([(main, [0, 1, 2]), ("chunksc render 1", [3, 4]),
+                                             ("chunksc render 2", [5, 6])])
+
+    def test_at_most_one_thread_per_example(self, monkeypatch, blocks):
+        monkeypatch.setattr(synth, "_thread_count", lambda: 4)
+        make_corpus(2, seed=30)
+        assert sorted(blocks) == sorted([(threading.current_thread().name, [0]),
+                                         ("chunksc render 1", [1])])
+
+    def test_first_error_in_block_order_reaches_the_caller_after_every_thread_ends(
+        self, monkeypatch
+    ):
+        real_render = synth._render_examples
+
+        def blocks_1_and_2_fail(duration_s, sample_rate, signals, enrollments, draws):
+            first = draws[0][0]
+            if first == 2:
+                time.sleep(0.2)  # block 2 fails first
+                raise RuntimeError("block 1 failed")
+            if first == 4:
+                raise RuntimeError("block 2 failed")
+            return real_render(duration_s, sample_rate, signals, enrollments, draws)
+
+        monkeypatch.setattr(synth, "_thread_count", lambda: 3)
+        monkeypatch.setattr(synth, "_render_examples", blocks_1_and_2_fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            make_corpus(6, seed=30)
+        assert threading.active_count() == before
+
+    def test_forks_nothing(self, monkeypatch):
+        expected = make_corpus(3, seed=31)
+
+        def no_fork():
+            raise AssertionError("make_corpus forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(synth, "_thread_count", lambda: 2)
+        for ex, want in zip(make_corpus(3, seed=31), expected, strict=True):
+            for got, ref in zip(waveforms(ex), waveforms(want)):
+                assert np.array_equal(got, ref)
