@@ -16,6 +16,7 @@ from .errors import (
 from .losses import (
     LossKind,
     LossResult,
+    LossSetup,
     ScaleLossConfig,
     WeightLossConfig,
     gradient_check,

@@ -167,11 +167,14 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "config"}
 
 
-def _parse_floats(text: str, name: str, n: int) -> tuple[float, ...]:
-    parts = [float(x) for x in text.split(",")]
+def _parse_floats(text: str, flag: str, n: int) -> tuple[float, ...]:
+    try:
+        parts = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != n:
-        raise ValueError(f"{name} needs {n} comma-separated values")
-    return tuple(parts)
+        raise ValueError(f"{flag} needs {n} comma-separated numbers, got {text!r}")
+    return parts
 
 
 def _loss_setup(args, hop_ms: float) -> LossSetup:
@@ -181,11 +184,16 @@ def _loss_setup(args, hop_ms: float) -> LossSetup:
     # or config header could not hold; it refuses NaN itself
     if math.isinf(args.clamp_db):
         raise ValueError(f"--clamp-db must be finite, got {args.clamp_db}")
+    if not math.isfinite(args.eta):
+        raise ValueError(f"--eta must be finite, got {args.eta}")
+    edges = _parse_floats(args.bins, "--bins", 3)
+    if not edges[0] < edges[1] < edges[2]:
+        raise ValueError(f"--bins must be 3 strictly increasing numbers, got {args.bins!r}")
     return LossSetup(
         chunking=ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=hop_ms),
         activity=ActivityConfig(eta_db=args.eta),
         sisdr_cfg=SiSdrConfig(clamp_db=args.clamp_db),
-        bins=BinEdges(_parse_floats(args.bins, "--bins", 3)),
+        bins=BinEdges(edges),
     )
 
 

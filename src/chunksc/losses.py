@@ -13,9 +13,10 @@ chunks that `r_scr` counts. Each result carries the branch state it was
 computed on (clamp flags, sign, chunk validity, classes), which
 `gradient_check` compares across perturbations.
 
-`compute_loss` is the one dispatch on `LossKind`: training and
-`gradient_check` both go through it, so the harness checks the loss that
-training runs. Its weighted-to-plain fallback is flagged `degenerate`.
+`compute_loss` is the one dispatch on `LossKind`, and a `LossSetup` is its
+one way in: training and `gradient_check` both pass it theirs, so the
+harness checks the loss that training runs, on the chunk grid training
+uses. Its weighted-to-plain fallback is flagged `degenerate`.
 
 The confusion ratio enters the scaled loss as a fraction in [0, 1], keeping
 the scaling factor within [gamma1 - gamma2, gamma1 + gamma2].
@@ -185,21 +186,19 @@ def loss_weight_sisdr(
 
 
 def compute_loss(
-    setup: LossSetup, estimate: Waveform, target: Waveform,
-    mixture: Waveform | None = None, chunks: ChunkGrid | None = None,
+    setup: LossSetup, estimate: Waveform, target: Waveform, mixture: Waveform | None = None
 ) -> LossResult:
     """The loss `setup.loss_kind` names, with its gradient.
 
-    The scaled and weighted losses score the chunks of `chunks`, made from
-    `setup.chunking` when not given. The weighted loss is undefined when no
-    chunk is valid (typical for an untrained model whose output is near
-    silence); it then falls back to the plain loss, flagged `degenerate`, so
-    training can proceed.
+    The scaled and weighted losses score the chunks that `setup.chunking`
+    lays on the estimate. The weighted loss is undefined when no chunk is
+    valid (typical for an untrained model whose output is near silence); it
+    then falls back to the plain loss, flagged `degenerate`, so training can
+    proceed.
     """
     if setup.loss_kind is LossKind.PLAIN:
         return loss_sisdr(estimate, target, setup.sisdr_cfg)
-    if chunks is None:
-        chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
+    chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
     common = (estimate, target, mixture, chunks, setup.activity, setup.sisdr_cfg)
     if setup.loss_kind is LossKind.SCALE:
         return loss_scale_sisdr(*common, setup.scale_cfg, setup.bins)
@@ -210,20 +209,14 @@ def compute_loss(
 
 
 def gradient_check(
-    loss_kind: LossKind,
+    setup: LossSetup,
     estimate: Waveform,
     target: Waveform,
     mixture: Waveform | None = None,
-    chunks: ChunkGrid | None = None,
-    activity: ActivityConfig = ActivityConfig(),
-    sisdr_cfg: SiSdrConfig = SiSdrConfig(),
-    scale_cfg: ScaleLossConfig = ScaleLossConfig(),
-    bins: BinEdges = BinEdges(),
-    wcfg: WeightLossConfig = WeightLossConfig(),
     fd_step: float = 1e-6,
 ) -> float:
-    """Max relative error of the analytic gradient of `compute_loss` vs
-    central differences.
+    """Max relative error of the analytic gradient of `compute_loss(setup,
+    ...)` vs central differences: the `setup` that training passes it.
 
     Coordinates where a perturbation of +-fd_step crosses a branch boundary
     (clamp edge, scaling-factor branch, bin edge, activity flip, fallback)
@@ -235,11 +228,8 @@ def gradient_check(
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
 
-    setup = LossSetup(loss_kind, activity=activity, sisdr_cfg=sisdr_cfg,
-                      scale_cfg=scale_cfg, weight_cfg=wcfg, bins=bins)
-
     def loss_at(samples):
-        return compute_loss(setup, Waveform(samples, target.sample_rate), target, mixture, chunks)
+        return compute_loss(setup, Waveform(samples, target.sample_rate), target, mixture)
 
     base = estimate.samples
     analytic = loss_at(base).grad_estimate

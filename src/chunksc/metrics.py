@@ -21,6 +21,9 @@ tiles of at most `_BLOCK_SAMPLES` samples, so long rows need no row-sized
 temporaries. The metric functions here and the training losses are thin
 layers over it, and every chunk-level caller takes the set of chunks that
 count from the one activity rule, `signal_core.active_mask`.
+
+The clamp is the one SI-SDR setting (`SiSdrConfig`); the floor inside the
+ratio, under which a target or mixture row is silent, is the constant `_EPS`.
 """
 
 from __future__ import annotations
@@ -34,22 +37,20 @@ from .errors import EmptyInput, LengthMismatch, ZeroTarget
 from .signal_core import ActivityConfig, ChunkGrid, Waveform, active_mask
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
+_EPS = 1e-12
 # Largest projection/residual tile of the kernel, in samples.
 _BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
 class SiSdrConfig:
-    """Numerical guards: symmetric dB clamp and a floor inside the ratio."""
+    """The symmetric dB clamp of every SI-SDR value."""
 
     clamp_db: float = 60.0
-    eps: float = 1e-12
 
     def __post_init__(self):
         if not self.clamp_db >= 30:  # NaN fails too
             raise ValueError("clamp_db must be >= 30")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool 
     through, and the gradient is zero where the clamp is active.
     """
     ref_energy = np.vecdot(ref, ref)
-    silent = ref_energy < cfg.eps
+    silent = ref_energy < _EPS
     alpha = np.vecdot(est, ref) / np.where(silent, 1.0, ref_energy)
     num, den = [], []  # the sums of each row tile, in row order
     residual = np.empty(est.shape) if grad else None
@@ -130,14 +131,14 @@ def _si_sdr_rows(est: np.ndarray, ref: np.ndarray, cfg: SiSdrConfig, grad: bool 
             if grad:
                 residual[rows, cols] = r
     num, den = (s[0] if len(s) == 1 else np.concatenate(s) for s in (num, den))
-    raw = 10.0 * np.log10((num + cfg.eps) / (den + cfg.eps))
+    raw = 10.0 * np.log10((num + _EPS) / (den + _EPS))
     clamped = np.abs(raw) >= cfg.clamp_db
     value = np.where(silent, np.nan, np.minimum(np.maximum(raw, -cfg.clamp_db), cfg.clamp_db))
     g = None
     if grad:
         # d num/de = 2*alpha*t, d den/de = 2*(e - alpha*t); the cross term through
         # alpha in the denominator vanishes because the residual is orthogonal to t.
-        g = (2.0 * alpha / (num + cfg.eps))[:, None] * ref - (2.0 / (den + cfg.eps))[:, None] * residual
+        g = (2.0 * alpha / (num + _EPS))[:, None] * ref - (2.0 / (den + _EPS))[:, None] * residual
         g /= _LN10_OVER_10
         g[clamped | silent] = 0.0
     return _Rows(value, clamped, ref_energy, g)
@@ -147,7 +148,7 @@ def _utterance_si_sdr(estimate: Waveform, target: Waveform, cfg: SiSdrConfig, gr
     """The kernel on the whole utterance as a single row."""
     _check_alike({"estimate": estimate, "target": target}, len(target), "the target's")
     rows = _si_sdr_rows(estimate.samples[None], target.samples[None], cfg, grad)
-    if rows.ref_energy[0] < cfg.eps:
+    if rows.ref_energy[0] < _EPS:
         raise ZeroTarget("target signal has zero energy")
     return rows
 
@@ -211,7 +212,7 @@ def _score_chunks(
     to_target = _si_sdr_rows(e, t, cfg, grad)
     to_mixture = _si_sdr_rows(e, y, cfg, grad)
     valid = active_mask(
-        to_target.ref_energy, np.vecdot(e, e), activity, to_mixture.ref_energy, cfg.eps
+        to_target.ref_energy, np.vecdot(e, e), activity, to_mixture.ref_energy, _EPS
     )
     return _ChunkScores(grid, to_target.value - to_mixture.value, valid, to_target, to_mixture)
 

@@ -23,6 +23,9 @@ from .signal_core import Waveform
 DEFAULT_SAMPLE_RATE = 8000
 ENROLLMENT_SECONDS = 1.0
 _TARGET_RMS = 0.25
+# The speakers of a corpus, and the range its mixing SNRs are drawn from, in dB.
+CORPUS_SPEAKERS = 8
+CORPUS_SNR_DB = (-2.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,7 @@ def render_utterance(
     return np.divide(_TARGET_RMS * sig, rms, out=out)
 
 
+@one_blas_thread()
 def gen_example(
     spk_a: SyntheticSpeaker,
     spk_b: SyntheticSpeaker,
@@ -93,7 +97,9 @@ def gen_example(
 
     The interferer is rescaled so the target/interferer energy ratio equals
     the requested SNR exactly; the mixture is their exact sum. The enrollment
-    is a fresh draw from the target speaker.
+    is a fresh draw from the target speaker. Rendered on one BLAS thread, as
+    in `make_corpus`, so a corpus example has the bits of `gen_example` of
+    its draw.
     """
     if spk_a.id == spk_b.id:
         raise SameSpeaker(f"target and interferer share speaker id {spk_a.id}")
@@ -189,14 +195,12 @@ def _render_in_threads(duration_s, sample_rate, signals, enrollments, draws):
 def make_corpus(
     n_examples: int,
     seed: int,
-    n_speakers: int = 8,
     duration_s: float = 2.0,
-    snr_lo_db: float = -2.0,
-    snr_hi_db: float = 2.0,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> list[MixtureExample]:
-    """A corpus of random speaker pairs at random mixing SNRs, the same bits
-    whatever the BLAS thread count (`gen_example` scales by dot products).
+    """A corpus of random pairs of the seed's `CORPUS_SPEAKERS` speakers at
+    mixing SNRs uniform in `CORPUS_SNR_DB`, the same bits whatever the BLAS
+    thread count (`gen_example` scales by dot products).
 
     The pairs, SNRs and seeds are drawn here, one example after another;
     then the examples are rendered on threads, one per CPU this process may
@@ -206,20 +210,15 @@ def make_corpus(
     """
     if n_examples < 1:
         raise ValueError(f"n_examples must be at least 1, got {n_examples}")
-    if n_speakers < 2:
-        raise ValueError(f"n_speakers must be at least 2, got {n_speakers}")
-    if not -math.inf < snr_lo_db <= snr_hi_db < math.inf:
-        raise ValueError(f"snr_lo_db and snr_hi_db must be finite, with snr_lo_db <= snr_hi_db, "
-                         f"got {snr_lo_db} and {snr_hi_db}")
     if not 0 < sample_rate < math.inf:
         raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
     n = n_samples(duration_s, sample_rate)
-    speakers = make_speakers(n_speakers, seed)
+    speakers = make_speakers(CORPUS_SPEAKERS, seed)
     rng = np.random.default_rng(seed + 1)
     draws = []
     for j in range(n_examples):
         a, b = rng.choice(len(speakers), size=2, replace=False)
-        snr = rng.uniform(snr_lo_db, snr_hi_db)
+        snr = rng.uniform(*CORPUS_SNR_DB)
         draws.append((j, speakers[a], speakers[b], float(snr), int(rng.integers(0, 2**31))))
     signals = np.zeros((n_examples, 3, n))
     enrollments = np.zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))

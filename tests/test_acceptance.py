@@ -18,6 +18,7 @@ import pytest
 from chunksc import (
     ChunkingConfig,
     LossKind,
+    LossSetup,
     ScaleLossConfig,
     Waveform,
     gradient_check,
@@ -30,7 +31,7 @@ from chunksc import (
     write_wav,
 )
 from chunksc.cli import main
-from chunksc.extractor import LossSetup, backward, evaluate_loss, forward, init_params
+from chunksc.extractor import backward, evaluate_loss, forward, init_params
 
 RATE = 8000
 
@@ -38,6 +39,9 @@ RATE = 8000
 # test module for the sweep rationale).
 FD_STEP = {LossKind.PLAIN: 3e-4, LossKind.SCALE: 3e-4, LossKind.WEIGHT: 1e-4}
 SCALE_CFG = ScaleLossConfig(gamma1=1.0, gamma2=0.5)
+# The chunking of every random loss instance, and of the LossSetup its
+# gradient is checked with.
+CHUNKING = ChunkingConfig(16, 8)
 
 
 def wav(x):
@@ -55,7 +59,7 @@ def random_loss_instance(seed, n=512):
     t = rng.normal(size=n)
     m = t + rng.normal(size=n)
     e = t + rng.uniform(0.3, 1.5) * rng.normal(size=n)
-    chunks = make_chunks(n, ChunkingConfig(16, 8), RATE)
+    chunks = make_chunks(n, CHUNKING, RATE)
     return wav(e), wav(t), wav(m), chunks
 
 
@@ -190,10 +194,9 @@ def test_criterion_08_gradient_checks(capsys):
     ok = True
     for kind in LossKind:
         for seed in range(50):
-            e, t, m, chunks = random_loss_instance(seed)
-            err = gradient_check(
-                kind, e, t, m, chunks, scale_cfg=SCALE_CFG, fd_step=FD_STEP[kind]
-            )
+            e, t, m, _ = random_loss_instance(seed)
+            setup = LossSetup(kind, chunking=CHUNKING, scale_cfg=SCALE_CFG)
+            err = gradient_check(setup, e, t, m, fd_step=FD_STEP[kind])
             if err >= 1e-5:
                 ok = False
 

@@ -163,6 +163,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bins", "a,0,5"], "--bins needs 3 comma-separated numbers, got 'a,0,5'"),
+        (["--bins", "0,0,5"], "--bins must be 3 strictly increasing numbers, got '0,0,5'"),
+        (["--eta", "nan"], "--eta must be finite, got nan"),
+    ], ids=["bins-not-a-number", "bins-not-increasing", "eta-nan"])
+    def test_scoring_refusal_names_the_flag_before_the_manifest_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "r.csv"
+        manifest = str(tmp_path / "absent.csv")  # a read would fail naming it
+        assert main(["eval", "--manifest", manifest, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_infinite_clamp_exits_2_without_a_report(self, tmp_path, corpus, capsys):
         manifest = manifest_for(tmp_path, corpus, "target")
         out = tmp_path / "r.json"
@@ -509,7 +523,8 @@ class TestTrain:
                       ("--train-size", "-3"), ("--hop-ms", "300"), ("--chunk-ms", "5000"),
                       ("--duration", "0.5"), ("--seed", "-1"), ("--batch", "0"),
                       ("--warmup-epochs", "-1"), ("--lr", "0"),
-                      ("--warmup-epochs", "1", "--finetune-lr", "0")):
+                      ("--warmup-epochs", "1", "--finetune-lr", "0"), ("--bins", "a,0,5"),
+                      ("--bins", "0,0,5"), ("--weights", "5,5,x,1"), ("--eta", "nan")):
             args = [command, "--train-size", "4", "--val-size", "2", *flags, "--out", str(out)]
             assert main(args) == 2, flags
             assert not out.exists(), flags
@@ -542,8 +557,13 @@ class TestTrain:
         (["compare", "--batch", "0"], "--batch must be at least 1, got 0"),
         (["compare", "--warmup-epochs", "-1"], "--warmup-epochs must be at least 0, got -1"),
         (["compare", "--finetune-lr", "-1"], "--finetune-lr must be finite and positive, got -1.0"),
+        (["train", "--bins", "a,0,5"], "--bins needs 3 comma-separated numbers, got 'a,0,5'"),
+        (["train", "--weights", "5,5,x,1"], "--weights needs 4 comma-separated numbers, got '5,5,x,1'"),
+        (["train", "--bins", "0,0,5"], "--bins must be 3 strictly increasing numbers, got '0,0,5'"),
+        (["train", "--eta", "nan"], "--eta must be finite, got nan"),
     ], ids=["train-batch", "train-epochs", "train-warmup-epochs", "train-lr", "train-finetune-lr",
-            "compare-batch", "compare-warmup-epochs", "compare-finetune-lr"])
+            "compare-batch", "compare-warmup-epochs", "compare-finetune-lr", "train-bins-not-a-number",
+            "train-weights-not-a-number", "train-bins-not-increasing", "train-eta-nan"])
     def test_training_refusal_names_the_flag(self, tmp_path, capsys, args, message):
         out = tmp_path / "run"
         assert main([*args, "--train-size", "2", "--val-size", "2", "--out", str(out)]) == 2

@@ -271,8 +271,9 @@ class TestBackward:
         noise = 0.8 * rng.normal(size=256)
         noise[:64] = 0.0  # the first chunk is perfect, so its SI-SDR is clamped
         est = Waveform(t + noise, 8000)
+        # 64-sample chunks: the default 250 ms would not fit the 256 samples,
+        # so the check must take its grid from the setup
         setup = LossSetup(
-            loss_kind=kind,
             chunking=ChunkingConfig(8, 4),
             activity=ActivityConfig(eta_db=12.0),
             sisdr_cfg=SiSdrConfig(clamp_db=40.0),
@@ -283,12 +284,8 @@ class TestBackward:
         checked = []
         real = losses.compute_loss
         monkeypatch.setattr(losses, "compute_loss", lambda *a: checked.append(real(*a)) or checked[-1])
-        chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
-        gradient_check(
-            kind, est, ex.target, ex.mixture, chunks, setup.activity, setup.sisdr_cfg,
-            setup.scale_cfg, setup.bins, setup.weight_cfg,
-        )
-        trained = evaluate_loss(est, ex, setup)
+        gradient_check(dataclasses.replace(setup, loss_kind=kind), est, ex.target, ex.mixture)
+        trained = evaluate_loss(est, ex, dataclasses.replace(setup, loss_kind=kind))
         assert checked[0].value == trained.value
         assert np.array_equal(checked[0].grad_estimate, trained.grad_estimate)
 

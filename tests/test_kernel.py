@@ -21,6 +21,7 @@ from chunksc import (
     ChunkingConfig,
     LengthMismatch,
     LossKind,
+    LossSetup,
     NoValidChunks,
     SiSdrConfig,
     Waveform,
@@ -33,7 +34,7 @@ from chunksc import (
     sc_statistics,
 )
 from chunksc.cli import main
-from chunksc.metrics import _score_chunks, _si_sdr_rows
+from chunksc.metrics import _EPS, _score_chunks, _si_sdr_rows
 from chunksc.signal_core import ENERGY_FLOOR
 
 RATE = 1000  # 1 sample per ms, so chunk lengths and hops are in samples
@@ -52,11 +53,11 @@ class LoopReference:
         residual = e - projection
         num = float(np.dot(projection, projection))
         den = float(np.dot(residual, residual))
-        raw = 10.0 * np.log10((num + cfg.eps) / (den + cfg.eps))
+        raw = 10.0 * np.log10((num + _EPS) / (den + _EPS))
         value = float(np.clip(raw, -cfg.clamp_db, cfg.clamp_db))
         if abs(raw) >= cfg.clamp_db:
             return value, np.zeros_like(e)
-        grad = (2.0 * alpha / (num + cfg.eps)) * t - (2.0 / (den + cfg.eps)) * residual
+        grad = (2.0 * alpha / (num + _EPS)) * t - (2.0 / (den + _EPS)) * residual
         return value, grad / (math.log(10.0) / 10.0)
 
     @staticmethod
@@ -69,7 +70,7 @@ class LoopReference:
         values, valid = [], []
         for idx in chunks:
             ek, tk, yk = (x[idx.start:idx.end] for x in (e, t, y))
-            if np.dot(tk, tk) < cfg.eps or np.dot(yk, yk) < cfg.eps:
+            if np.dot(tk, tk) < _EPS or np.dot(yk, yk) < _EPS:
                 values.append(np.nan)
                 valid.append(False)
                 continue
@@ -321,11 +322,11 @@ def test_eval_short_rows_give_the_bits_of_row_tiles_and_of_the_formula(monkeypat
     for field in ("value", "clamped", "ref_energy", "grad"):
         np.testing.assert_array_equal(getattr(tiled, field), getattr(untiled, field))
     # a row in one tile has the dot products of the textbook formula
-    sound = np.vecdot(ref, ref) >= CFG.eps
+    sound = np.vecdot(ref, ref) >= _EPS
     alpha = np.vecdot(est[sound], ref[sound]) / np.vecdot(ref[sound], ref[sound])
     projection = alpha[:, None] * ref[sound]
     residual = est[sound] - projection
-    ratio = (np.vecdot(projection, projection) + CFG.eps) / (np.vecdot(residual, residual) + CFG.eps)
+    ratio = (np.vecdot(projection, projection) + _EPS) / (np.vecdot(residual, residual) + _EPS)
     np.testing.assert_array_equal(
         untiled.value[sound], np.clip(10.0 * np.log10(ratio), -CFG.clamp_db, CFG.clamp_db)
     )
@@ -339,6 +340,6 @@ def test_gradient_check_passes_with_column_tiles(monkeypatch, kind):
     y = t + rng.normal(size=512)
     e = t + 0.8 * rng.normal(size=512)
     # 100-sample chunks span two or three column tiles, the utterance eight
-    chunks = make_chunks(512, ChunkingConfig(100, 50), RATE)
+    setup = LossSetup(kind, chunking=ChunkingConfig(100, 50))
     fd_step = {LossKind.PLAIN: 3e-4, LossKind.SCALE: 3e-4, LossKind.WEIGHT: 1e-4}[kind]
-    assert gradient_check(kind, *waves(e, t, y), chunks, fd_step=fd_step) < 1e-5
+    assert gradient_check(setup, *waves(e, t, y), fd_step=fd_step) < 1e-5

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from chunksc import (
     ActivityConfig,
     ChunkingConfig,
     LossKind,
+    LossSetup,
     NoValidChunks,
     ScaleLossConfig,
     Waveform,
@@ -34,12 +37,17 @@ def wav(x):
     return Waveform(np.asarray(x, dtype=float), RATE)
 
 
+# The chunking of every random instance, and of the LossSetup its gradient
+# is checked with.
+CHUNKING = ChunkingConfig(16, 8)
+
+
 def random_instance(seed, n=512):
     rng = np.random.default_rng(seed)
     t = rng.normal(size=n)
     m = t + rng.normal(size=n)
     e = t + rng.uniform(0.3, 1.5) * rng.normal(size=n)
-    chunks = make_chunks(n, ChunkingConfig(16, 8), RATE)
+    chunks = make_chunks(n, CHUNKING, RATE)
     return wav(e), wav(t), wav(m), chunks
 
 
@@ -76,7 +84,7 @@ class TestLossSisdr:
         for _ in range(20):
             t = rng.normal(size=32)
             e = t + rng.uniform(0.3, 1.5) * rng.normal(size=32)
-            err = gradient_check(LossKind.PLAIN, wav(e), wav(t), fd_step=1e-5)
+            err = gradient_check(LossSetup(LossKind.PLAIN), wav(e), wav(t), fd_step=1e-5)
             assert err < 1e-5
 
     def test_grad_finite_and_sized(self):
@@ -153,16 +161,9 @@ class TestLossScaleSisdr:
 
     def test_gradient_matches_finite_differences(self):
         for seed in range(20):
-            e, t, m, chunks = random_instance(seed + 200)
-            err = gradient_check(
-                LossKind.SCALE,
-                e,
-                t,
-                m,
-                chunks,
-                scale_cfg=SCALE_CFG,
-                fd_step=FD_STEP[LossKind.SCALE],
-            )
+            e, t, m, _ = random_instance(seed + 200)
+            setup = LossSetup(LossKind.SCALE, chunking=CHUNKING, scale_cfg=SCALE_CFG)
+            err = gradient_check(setup, e, t, m, fd_step=FD_STEP[LossKind.SCALE])
             assert err < 1e-5
 
 
@@ -264,10 +265,9 @@ class TestLossWeightSisdr:
 
     def test_gradient_matches_finite_differences(self):
         for seed in range(20):
-            e, t, m, chunks = random_instance(seed + 300)
-            err = gradient_check(
-                LossKind.WEIGHT, e, t, m, chunks, fd_step=FD_STEP[LossKind.WEIGHT]
-            )
+            e, t, m, _ = random_instance(seed + 300)
+            setup = LossSetup(LossKind.WEIGHT, chunking=CHUNKING)
+            err = gradient_check(setup, e, t, m, fd_step=FD_STEP[LossKind.WEIGHT])
             assert err < 1e-5
 
 
@@ -278,18 +278,20 @@ class TestGradientCheckHarness:
         with pytest.raises(NoValidChunks):
             loss_weight_sisdr(e, t, m, chunks, quiet_gate)
         step = FD_STEP[LossKind.PLAIN]
-        err = gradient_check(LossKind.WEIGHT, e, t, m, chunks, quiet_gate, fd_step=step)
+        setup = LossSetup(LossKind.WEIGHT, chunking=CHUNKING, activity=quiet_gate)
+        err = gradient_check(setup, e, t, m, fd_step=step)
         assert err < 1e-5
-        assert err == gradient_check(LossKind.PLAIN, e, t, m, chunks, quiet_gate, fd_step=step)
+        plain = replace(setup, loss_kind=LossKind.PLAIN)
+        assert err == gradient_check(plain, e, t, m, fd_step=step)
 
     def test_rejects_long_signals(self):
         rng = np.random.default_rng(8)
         t = rng.normal(size=600)
         with pytest.raises(ValueError):
-            gradient_check(LossKind.PLAIN, wav(t), wav(t))
+            gradient_check(LossSetup(LossKind.PLAIN), wav(t), wav(t))
 
     def test_rejects_bad_step(self):
         rng = np.random.default_rng(9)
         t = rng.normal(size=32)
         with pytest.raises(ValueError):
-            gradient_check(LossKind.PLAIN, wav(t), wav(t), fd_step=0.0)
+            gradient_check(LossSetup(LossKind.PLAIN), wav(t), wav(t), fd_step=0.0)
