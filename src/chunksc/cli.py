@@ -177,15 +177,27 @@ def _parse_floats(text: str, flag: str, n: int) -> tuple[float, ...]:
     return parts
 
 
-def _loss_setup(args, hop_ms: float) -> LossSetup:
+def _loss_setup(args, overlap: bool = True) -> LossSetup:
     """The scoring settings every subcommand shares: chunks of --chunk-ms at
-    `hop_ms`, the activity gate, the clamp and the class bins."""
+    --hop-ms, or without overlap when not `overlap`, the activity gate, the
+    clamp and the class bins. Each is checked here, naming its flag."""
     # SiSdrConfig takes an infinite clamp (no clamping), which a JSON report
-    # or config header could not hold; it refuses NaN itself
-    if math.isinf(args.clamp_db):
-        raise ValueError(f"--clamp-db must be finite, got {args.clamp_db}")
-    if not math.isfinite(args.eta):
-        raise ValueError(f"--eta must be finite, got {args.eta}")
+    # or config header could not hold
+    finite = {"--chunk-ms": args.chunk_ms, "--clamp-db": args.clamp_db, "--eta": args.eta}
+    if overlap:
+        finite["--hop-ms"] = args.hop_ms
+    for flag, value in finite.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    if args.chunk_ms <= 0:
+        raise ValueError(f"--chunk-ms must be positive, got {args.chunk_ms}")
+    hop_ms = args.hop_ms if overlap else args.chunk_ms
+    if not 0 < hop_ms <= args.chunk_ms:
+        raise ValueError(
+            f"--hop-ms must be positive and at most --chunk-ms {args.chunk_ms}, got {hop_ms}"
+        )
+    if args.clamp_db < 30:
+        raise ValueError(f"--clamp-db must be at least 30, got {args.clamp_db}")
     edges = _parse_floats(args.bins, "--bins", 3)
     if not edges[0] < edges[1] < edges[2]:
         raise ValueError(f"--bins must be 3 strictly increasing numbers, got {args.bins!r}")
@@ -227,7 +239,7 @@ def _evaluate_manifest(args):
     by the larger array `read_wav` allocates. So no Waveform outlives its
     row, and a row keeps only floats and its ScStatistics, whose arrays
     are copies."""
-    setup = _loss_setup(args, args.hop_ms if args.eval_hop == "overlap" else args.chunk_ms)
+    setup = _loss_setup(args, overlap=args.eval_hop == "overlap")
     report = []
     buffers = [np.empty(0)] * 3
     for line, row in _read_manifest(args.manifest):
@@ -358,13 +370,23 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
     for flag, value in {"--lr": args.lr, lr_flag: finetune_lr}.items():  # one entry if the same
         if not 0 < value < math.inf:
             raise ValueError(f"{flag} must be finite and positive, got {value}")
+    for flag, value in (("--gamma1", args.gamma1), ("--gamma2", args.gamma2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    w = _parse_floats(args.weights, "--weights", 4)
+    if not (all(map(math.isfinite, w)) and w[0] >= w[1] >= w[2] >= w[3] > 0):
+        raise ValueError(
+            f"--weights must be finite, non-increasing and positive, got {args.weights!r}"
+        )
+    if not 1.0 <= args.duration < math.inf:
+        raise ValueError(f"--duration must be finite and at least 1.0, got {args.duration}")
     setup = replace(
-        _loss_setup(args, args.hop_ms),
+        _loss_setup(args),
         scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
-        weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
+        weight_cfg=WeightLossConfig(weights=w),
     )
-    # one utterance's chunk grid refuses a duration or chunking the corpora
-    # cannot take; the tiling of validation passes wherever it passes
+    # one utterance's chunk grid refuses a chunking the corpora cannot take;
+    # the tiling of validation passes wherever it passes
     make_chunks(n_samples(args.duration), setup.chunking, DEFAULT_SAMPLE_RATE)
     warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
     tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)

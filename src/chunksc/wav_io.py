@@ -6,24 +6,30 @@ float, in a plain or a WAVE_FORMAT_EXTENSIBLE `fmt ` chunk. It refuses,
 naming the path, anything multi-channel, any other sample format (8-bit,
 24/32-bit PCM, big-endian RIFX, compressed), a file that is not a WAV, one
 without a `data` chunk, and one whose `data` chunk is cut short. It reads
-each file in one pass, parsing the header itself, and converts the data
-bytes in one numpy call into the caller's buffer. The writer always emits
-32-bit float (through scipy).
+each file in one pass, parsing the header itself, and reads the data bytes
+straight into the memory of the float64 samples it returns, widening them
+there. The writer always emits 32-bit float.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
-from scipy.io import wavfile
 
 from .signal_core import Waveform
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_INT16, _FLOAT32, _FLOAT64 = np.dtype("<i2"), np.dtype("<f4"), np.dtype("<f8")
 # the last 12 bytes of a WAVE_FORMAT_EXTENSIBLE subformat GUID; its first 4
 # hold the format tag (RFC 2361)
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# Samples widened to float64 per numpy call (see `_read_samples`).
+_WIDEN_BLOCK = 1 << 16
+# RIFF, an 18-byte `fmt ` chunk, a `fact` chunk and the `data` chunk header:
+# the float32 header scipy.io.wavfile.write writes
+_FLOAT_HEADER = struct.Struct("<4sI4s4sIHHIIHHH4sII4sI")
 
 
 def read_wav(path: str, out: np.ndarray | None = None) -> Waveform:
@@ -33,30 +39,39 @@ def read_wav(path: str, out: np.ndarray | None = None) -> Waveform:
     samples are written into `out[:n]` and the Waveform views them, so
     reading the next file into the same `out` overwrites them; when `out`
     is None or shorter than the file, a new array of exactly n samples is
-    allocated instead.
+    allocated instead. `out` must be a 1-D C-contiguous float64 array. A
+    refused file may leave `out` partly overwritten.
     """
+    if out is not None and not (
+        out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
+    ):
+        layout = "C-contiguous" if out.flags.c_contiguous else "non-contiguous"
+        raise ValueError(
+            f"out must be a 1-D C-contiguous float64 array, got a {out.ndim}-D "
+            f"{layout} {out.dtype} array"
+        )
     try:
         with open(path, "rb") as fh:
-            rate, dtype, raw = _read_riff(fh)
+            rate, dtype, n = _read_header(fh)
+            if out is None or out.size < n:
+                # a header that claims more than the file holds allocates nothing
+                left, n_bytes = os.fstat(fh.fileno()).st_size - fh.tell(), n * dtype.itemsize
+                if left < n_bytes:
+                    raise ValueError(f"data chunk cut short: {left} of {n_bytes} bytes")
+                out = np.empty(n)
+            samples = out[:n]
+            _read_samples(fh, dtype, samples)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    data = np.frombuffer(raw, dtype)
-    if out is None or out.size < data.size:
-        out = np.empty(data.size)
-    samples = out[: data.size]
-    if dtype == "<i2":
-        np.divide(data, 32768.0, out=samples)
-    else:
-        np.copyto(samples, data)
     try:
         return Waveform(samples, rate)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_riff(fh) -> tuple[int, str, bytes]:
-    """(sample rate, sample dtype, data bytes) of a mono WAV file, read in
-    one pass up to the end of its `data` chunk."""
+def _read_header(fh) -> tuple[int, np.dtype, int]:
+    """(sample rate, sample dtype, sample count) of a mono WAV file, read up
+    to the start of its `data` chunk."""
     form = fh.read(12)
     if form[:4] == b"RIFX":
         raise ValueError("unsupported sample format: big-endian RIFX")
@@ -82,12 +97,38 @@ def _read_riff(fh) -> tuple[int, str, bytes]:
     if fmt is None:
         raise ValueError("no fmt chunk before the data chunk")
     rate, dtype = fmt
-    width = np.dtype(dtype).itemsize
-    n_bytes = (size if data_size is None else data_size) // width * width
-    raw = fh.read(n_bytes)
-    if len(raw) < n_bytes:
-        raise ValueError(f"data chunk cut short: {len(raw)} of {n_bytes} bytes")
-    return rate, dtype, raw
+    return rate, dtype, (size if data_size is None else data_size) // dtype.itemsize
+
+
+def _read_samples(fh, dtype: np.dtype, samples: np.ndarray) -> None:
+    """Read len(samples) samples of `dtype` from `fh` into `samples`, as
+    float64, with no temporary the size of the data.
+
+    The n samples of width w bytes are read into the top n*w bytes of the
+    8n-byte buffer, so sample j of the file starts at byte (8-w)*n + w*j.
+    Widened, sample i takes bytes [8*i, 8*i + 8), which hold only file
+    samples j with (8-w)*n + w*j < 8*i + 8, that is j <= i (as i < n). So
+    widening front to back never overwrites a sample it has yet to read.
+    It runs in blocks of B = _WIDEN_BLOCK samples because numpy copies a
+    ufunc input that overlaps the output: block [lo, lo+B) overlaps its own
+    source only when lo > n - 8*B/(8-w), in the last one or two blocks, so
+    a call copies at most B*w bytes. np.copyto, for float input, copies no
+    1-D input and casts front to back. PCM16 is divided by 32768.0 and
+    float is cast, so the samples equal those of the same calls on a
+    separate copy of the data, bit for bit.
+    """
+    source = samples.view(dtype)[(8 // dtype.itemsize - 1) * samples.size:]
+    got = fh.readinto(source)
+    if got < source.nbytes:
+        raise ValueError(f"data chunk cut short: {got} of {source.nbytes} bytes")
+    if dtype == samples.dtype:  # little-endian float64 is already in place
+        return
+    for lo in range(0, samples.size, _WIDEN_BLOCK):
+        hi = lo + _WIDEN_BLOCK
+        if dtype is _INT16:
+            np.divide(source[lo:hi], 32768.0, out=samples[lo:hi])
+        else:
+            np.copyto(samples[lo:hi], source[lo:hi])
 
 
 def _chunk_header(fh) -> tuple[bytes, int]:
@@ -97,7 +138,7 @@ def _chunk_header(fh) -> tuple[bytes, int]:
     return header[:4], struct.unpack_from("<I", header, 4)[0]
 
 
-def _parse_fmt(body: bytes) -> tuple[int, str]:
+def _parse_fmt(body: bytes) -> tuple[int, np.dtype]:
     """(sample rate, sample dtype) from a `fmt ` chunk, or ValueError for a
     file that is not mono PCM16 or float."""
     if len(body) < 16:
@@ -116,14 +157,27 @@ def _parse_fmt(body: bytes) -> tuple[int, str]:
             f"sample rate {rate} x block align {block_align}"
         )
     if tag == _PCM and 8 < bits <= 16 and block_align == 2:
-        return rate, "<i2"
+        return rate, _INT16
     if tag == _IEEE_FLOAT and bits in (32, 64) and block_align in (4, 8):
-        return rate, f"<f{block_align}"
+        return rate, _FLOAT32 if block_align == 4 else _FLOAT64
     raise ValueError(
         f"unsupported sample format: format tag {tag:#06x}, {bits} bits in {block_align} bytes"
     )
 
 
 def write_wav(path: str, w: Waveform) -> None:
-    """Write a Waveform as 32-bit float WAV."""
-    wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
+    """Write a Waveform as a 32-bit float WAV, the same bytes as
+    scipy.io.wavfile.write of its samples as float32: RIFF, an 18-byte `fmt `
+    chunk, a `fact` chunk holding the sample count, then `data`. More data
+    than a RIFF size field holds (scipy writes RF64 there) is refused."""
+    n = w.samples.size
+    riff_size = _FLOAT_HEADER.size - 8 + 4 * n
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {n} samples are too many for a 32-bit float WAV file")
+    header = _FLOAT_HEADER.pack(
+        b"RIFF", riff_size, b"WAVE", b"fmt ", 18, _IEEE_FLOAT, 1, w.sample_rate,
+        4 * w.sample_rate, 4, 32, 0, b"fact", 4, n, b"data", 4 * n,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(w.samples.astype("<f4"))

@@ -151,9 +151,9 @@ class TestEval:
         "flags, message",
         [
             (["--chunk-ms", "0.01"], "under 1 sample"),
-            (["--chunk-ms", "inf"], "must be finite"),
-            (["--hop-ms", "inf", "--eval-hop", "overlap"], "must be finite"),
-            (["--clamp-db", "nan"], "clamp_db"),
+            (["--chunk-ms", "inf"], "--chunk-ms must be finite, got inf"),
+            (["--hop-ms", "inf", "--eval-hop", "overlap"], "--hop-ms must be finite, got inf"),
+            (["--clamp-db", "nan"], "--clamp-db must be finite, got nan"),
         ],
         ids=["chunk-under-1-sample", "chunk-inf", "hop-inf", "clamp-nan"],
     )
@@ -191,7 +191,7 @@ class TestEval:
         args = ["eval", "--manifest", manifest, "--out", str(out), "--eval-hop", "overlap"]
         assert main([*args, "--hop-ms", "300"]) == 2
         assert capsys.readouterr().err == (
-            "error: hop_ms must be positive and at most chunk_len_ms 250.0, got 300.0\n"
+            "error: --hop-ms must be positive and at most --chunk-ms 250.0, got 300.0\n"
         )
         assert not out.exists()
 
@@ -503,8 +503,8 @@ class TestTrain:
             (["--lr", "inf"], "--lr must be finite and positive, got inf"),
             (["--finetune-lr", "nan", "--warmup-epochs", "1"],
              "--finetune-lr must be finite and positive, got nan"),
-            (["--duration", "inf"], "duration_s"),
-            (["--duration", "nan"], "duration_s"),
+            (["--duration", "inf"], "--duration must be finite and at least 1.0, got inf"),
+            (["--duration", "nan"], "--duration must be finite and at least 1.0, got nan"),
         ],
         ids=["lr-nan", "lr-inf", "finetune-lr-nan", "duration-inf", "duration-nan"],
     )
@@ -561,9 +561,28 @@ class TestTrain:
         (["train", "--weights", "5,5,x,1"], "--weights needs 4 comma-separated numbers, got '5,5,x,1'"),
         (["train", "--bins", "0,0,5"], "--bins must be 3 strictly increasing numbers, got '0,0,5'"),
         (["train", "--eta", "nan"], "--eta must be finite, got nan"),
+        (["train", "--weights", "1,5,1,1"],
+         "--weights must be finite, non-increasing and positive, got '1,5,1,1'"),
+        (["train", "--weights", "5,5,1,0"],
+         "--weights must be finite, non-increasing and positive, got '5,5,1,0'"),
+        (["train", "--clamp-db", "nan"], "--clamp-db must be finite, got nan"),
+        (["train", "--clamp-db", "20"], "--clamp-db must be at least 30, got 20.0"),
+        (["train", "--gamma1", "nan"], "--gamma1 must be finite, got nan"),
+        (["compare", "--gamma2", "inf"], "--gamma2 must be finite, got inf"),
+        (["train", "--chunk-ms", "nan"], "--chunk-ms must be finite, got nan"),
+        (["train", "--hop-ms", "nan"], "--hop-ms must be finite, got nan"),
+        (["train", "--hop-ms", "300"],
+         "--hop-ms must be positive and at most --chunk-ms 250.0, got 300.0"),
+        (["train", "--chunk-ms", "0.01"],
+         "--hop-ms must be positive and at most --chunk-ms 0.01, got 125.0"),
+        (["train", "--duration", "inf"], "--duration must be finite and at least 1.0, got inf"),
+        (["compare", "--duration", "0.5"], "--duration must be finite and at least 1.0, got 0.5"),
     ], ids=["train-batch", "train-epochs", "train-warmup-epochs", "train-lr", "train-finetune-lr",
             "compare-batch", "compare-warmup-epochs", "compare-finetune-lr", "train-bins-not-a-number",
-            "train-weights-not-a-number", "train-bins-not-increasing", "train-eta-nan"])
+            "train-weights-not-a-number", "train-bins-not-increasing", "train-eta-nan",
+            "train-weights-increasing", "train-weights-zero", "train-clamp-nan", "train-clamp-20",
+            "train-gamma1-nan", "compare-gamma2-inf", "train-chunk-nan", "train-hop-nan",
+            "train-hop-300", "train-chunk-under-hop", "train-duration-inf", "compare-duration-0.5"])
     def test_training_refusal_names_the_flag(self, tmp_path, capsys, args, message):
         out = tmp_path / "run"
         assert main([*args, "--train-size", "2", "--val-size", "2", "--out", str(out)]) == 2
@@ -580,7 +599,9 @@ class TestTrain:
         out = tmp_path / "run"
         for weights in ("inf,inf,1,1", "5,5,1,nan"):
             assert main(train_args(str(out), extra=("--loss", "weight", "--weights", weights))) == 2
-            assert capsys.readouterr().err.startswith("error: weights must be finite, got (")
+            assert capsys.readouterr().err == (
+                f"error: --weights must be finite, non-increasing and positive, got {weights!r}\n"
+            )
             assert not out.exists()
 
     def test_unusable_out_fails_before_any_epoch(self, tmp_path, monkeypatch, capsys):

@@ -1,11 +1,18 @@
+import os
 import re
 import struct
+import subprocess
+import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import chunksc
 from chunksc import Waveform, read_wav, write_wav
+from chunksc.wav_io import _WIDEN_BLOCK as B
 
 
 def test_float_round_trip(tmp_path):
@@ -92,17 +99,17 @@ def rf64(fmt, data):
     return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + tail
 
 
-def samples_of(dtype):
+def samples_of(dtype, n=999):
     rng = np.random.default_rng(7)
     if dtype == np.int16:
-        data = rng.integers(-32768, 32768, size=999).astype(np.int16)
+        data = rng.integers(-32768, 32768, size=n).astype(np.int16)
         data[:2] = (-32768, 32767)
         return data
-    return rng.uniform(-1, 1, size=999).astype(dtype)
+    return rng.uniform(-1, 1, size=n).astype(dtype)
 
 
-def build(kind, dtype):
-    data = samples_of(dtype)
+def build(kind, dtype, n=999):
+    data = samples_of(dtype, n)
     tag = 1 if dtype == np.int16 else 3
     fmt = fmt_body(tag, 16000, data)
     if kind == "extensible":
@@ -127,17 +134,20 @@ ACCEPTED = [
     "kind, dtype", ACCEPTED, ids=[f"{k}-{np.dtype(d).name}" for k, d in ACCEPTED]
 )
 def test_accepts_what_scipy_accepts_with_equal_samples(tmp_path, kind, dtype):
+    # lengths around the block that read_wav widens samples in, whose last
+    # blocks overlap their own bytes; `out` absent, long enough, too short
     path = str(tmp_path / "x.wav")
-    if kind == "scipy":
-        wavfile.write(path, 16000, samples_of(dtype))
-    else:
-        with open(path, "wb") as fh:
-            fh.write(build(kind, dtype))
-    rate, expected = scipy_read(path)
-    for out in (None, np.full(5000, np.nan)):
-        w = read_wav(path, out)
-        assert w.sample_rate == rate == 16000
-        np.testing.assert_array_equal(w.samples, expected)
+    for n in (999, B - 1, B, B + 1, 2 * B + 1):
+        if kind == "scipy":
+            wavfile.write(path, 16000, samples_of(dtype, n))
+        else:
+            with open(path, "wb") as fh:
+                fh.write(build(kind, dtype, n))
+        rate, expected = scipy_read(path)
+        for out in (None, np.full(n + 5, np.nan), np.full(n - 1, np.nan)):
+            w = read_wav(path, out)
+            assert w.sample_rate == rate == 16000
+            assert w.samples.tobytes() == expected.tobytes(), (n, out is None)
 
 
 def refused_file(tmp_path, kind):
@@ -181,8 +191,12 @@ def test_refuses_a_cut_short_data_chunk_naming_the_path(tmp_path):
     path = tmp_path / "cut.wav"
     wavfile.write(str(path), 8000, samples_of(np.float32))
     path.write_bytes(path.read_bytes()[:-10])
-    with pytest.raises(ValueError, match=re.escape(f"{path}: data chunk cut short")):
-        read_wav(str(path))
+    # checked before a buffer is allocated, and by the read into a long-enough `out`
+    for out in (None, np.empty(2000)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: data chunk cut short: 3986 of 3996 bytes"
+        )):
+            read_wav(str(path), out)
 
 
 def test_reads_into_out_when_it_is_long_enough(tmp_path):
@@ -196,3 +210,89 @@ def test_reads_into_out_when_it_is_long_enough(tmp_path):
     w = read_wav(path, too_short)
     assert not np.shares_memory(w.samples, too_short) and w.samples.size == 999
     assert np.isnan(too_short).all()
+
+
+@pytest.mark.parametrize("form", ["riff", "rf64"])
+def test_refuses_an_over_declared_data_chunk_without_allocating_it(tmp_path, form):
+    data = samples_of(np.float32).tobytes()
+    fmt = fmt_body(3, 8000, samples_of(np.float32))
+    if form == "riff":
+        declared = 0xFFFFFFFF
+        body = riff(chunk(b"fmt ", fmt), b"data" + struct.pack("<I", declared) + data)
+    else:
+        declared = 1 << 62
+        body = bytearray(rf64(fmt, data))
+        struct.pack_into("<Q", body, 28, declared)  # the ds64 data size
+    path = tmp_path / "over.wav"
+    path.write_bytes(body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: data chunk cut short: {len(data)} of {declared // 4 * 4} bytes"
+        )):
+            read_wav(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_reads_into_out_without_a_copy_of_the_data(tmp_path):
+    path = str(tmp_path / "long.wav")
+    wavfile.write(path, 16000, samples_of(np.float32, 10**6))
+    out = np.empty(10**6 + 1)
+    tracemalloc.start()
+    try:
+        w = read_wav(path, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(w.samples, out)
+    assert peak < 1 << 20  # the float32 data alone is 4 MB
+
+
+@pytest.mark.parametrize("out, problem", [
+    (np.zeros(2000, dtype=np.float32), "1-D C-contiguous float32"),
+    (np.zeros(4000)[::2], "1-D non-contiguous float64"),
+    (np.zeros((2, 1000)), "2-D C-contiguous float64"),
+], ids=["float32", "strided", "2-D"])
+def test_refuses_an_out_that_is_not_contiguous_float64(tmp_path, out, problem):
+    path = str(tmp_path / "x.wav")
+    wavfile.write(path, 8000, samples_of(np.int16))
+    before = out.copy()
+    with pytest.raises(ValueError, match=re.escape(
+        f"out must be a 1-D C-contiguous float64 array, got a {problem} array"
+    )):
+        read_wav(path, out)
+    assert out.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+def test_writes_the_bytes_scipy_writes(tmp_path, rate):
+    rng = np.random.default_rng(rate)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    for n in (1, 999, 12345, 16000):
+        samples = rng.uniform(-1, 1, size=n)
+        write_wav(str(ours), Waveform(samples, rate))
+        wavfile.write(str(theirs), rate, samples.astype(np.float32))
+        assert ours.read_bytes() == theirs.read_bytes(), n
+
+
+def test_refuses_to_write_more_than_a_riff_size_holds(tmp_path):
+    path = tmp_path / "huge.wav"
+    # 2**30 float32 samples need 4 GiB; a zero-stride view allocates none
+    huge = SimpleNamespace(samples=np.broadcast_to(0.0, (1 << 30,)), sample_rate=8000)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 1073741824 samples are too many")):
+        write_wav(str(path), huge)
+    assert not path.exists()
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_io():
+    src = os.path.dirname(os.path.dirname(chunksc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys, chunksc, chunksc.cli; "
+              "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
