@@ -8,6 +8,7 @@ from .errors import (
     EmptyInput,
     FineTuneLost,
     InvalidHop,
+    InvalidSetting,
     LengthMismatch,
     NoValidChunks,
     SameSpeaker,

@@ -31,7 +31,7 @@ import json
 import math
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from functools import partial
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from ._fork import Forked, answer, keep_freed_heap, worker_count
-from .errors import ChunkscError, DivergenceDetected, FineTuneLost
+from .errors import ChunkscError, DivergenceDetected, FineTuneLost, InvalidSetting
 from .extractor import (
     LossSetup,
     TrainConfig,
@@ -57,7 +57,7 @@ from .metrics import (
     si_sdr,
 )
 from .signal_core import ActivityConfig, ChunkingConfig, make_chunks
-from .synth import DEFAULT_SAMPLE_RATE, make_corpus, n_samples
+from .synth import DEFAULT_SAMPLE_RATE, check_corpus_size, make_corpus, n_samples
 from .wav_io import read_wav
 
 
@@ -177,36 +177,47 @@ def _parse_floats(text: str, flag: str, n: int) -> tuple[float, ...]:
     return parts
 
 
+# The flag of each setting, by the config field or library argument that
+# holds it; a call of `_flags` may name a field by another flag.
+_FLAGS = {
+    "chunk_len_ms": "--chunk-ms", "hop_ms": "--hop-ms", "eta_db": "--eta",
+    "clamp_db": "--clamp-db", "edges": "--bins", "gamma1": "--gamma1", "gamma2": "--gamma2",
+    "weights": "--weights", "learning_rate": "--lr", "epochs": "--epochs", "batch": "--batch",
+    "seed": "--seed", "duration_s": "--duration",
+}
+
+
+@contextmanager
+def _flags(args, **flags: str):
+    """Raise an InvalidSetting of the block as a ValueError that calls each
+    setting by its flag, from `flags` (field to flag) or `_FLAGS`, and shows
+    the text given to --bins or --weights. `flags` may also name an input
+    the rule names, such as the `signal` of ChunkLenExceedsSignal."""
+    try:
+        yield
+    except InvalidSetting as exc:
+        names = {**_FLAGS, **flags}
+        if exc.field in ("edges", "weights"):
+            names["value"] = repr(args.bins if exc.field == "edges" else args.weights)
+        raise ValueError(exc.worded(names)) from exc
+
+
 def _loss_setup(args, overlap: bool = True) -> LossSetup:
     """The scoring settings every subcommand shares: chunks of --chunk-ms at
     --hop-ms, or without overlap when not `overlap`, the activity gate, the
-    clamp and the class bins. Each is checked here, naming its flag."""
+    clamp and the class bins. Each config checks its own settings; a
+    refusal names the flag."""
     # SiSdrConfig takes an infinite clamp (no clamping), which a JSON report
     # or config header could not hold
-    finite = {"--chunk-ms": args.chunk_ms, "--clamp-db": args.clamp_db, "--eta": args.eta}
-    if overlap:
-        finite["--hop-ms"] = args.hop_ms
-    for flag, value in finite.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
-    if args.chunk_ms <= 0:
-        raise ValueError(f"--chunk-ms must be positive, got {args.chunk_ms}")
-    hop_ms = args.hop_ms if overlap else args.chunk_ms
-    if not 0 < hop_ms <= args.chunk_ms:
-        raise ValueError(
-            f"--hop-ms must be positive and at most --chunk-ms {args.chunk_ms}, got {hop_ms}"
+    if not math.isfinite(args.clamp_db):
+        raise ValueError(f"--clamp-db must be finite, got {args.clamp_db}")
+    with _flags(args):
+        return LossSetup(
+            chunking=ChunkingConfig(args.chunk_ms, args.hop_ms if overlap else args.chunk_ms),
+            activity=ActivityConfig(eta_db=args.eta),
+            sisdr_cfg=SiSdrConfig(clamp_db=args.clamp_db),
+            bins=BinEdges(_parse_floats(args.bins, "--bins", 3)),
         )
-    if args.clamp_db < 30:
-        raise ValueError(f"--clamp-db must be at least 30, got {args.clamp_db}")
-    edges = _parse_floats(args.bins, "--bins", 3)
-    if not edges[0] < edges[1] < edges[2]:
-        raise ValueError(f"--bins must be 3 strictly increasing numbers, got {args.bins!r}")
-    return LossSetup(
-        chunking=ChunkingConfig(chunk_len_ms=args.chunk_ms, hop_ms=hop_ms),
-        activity=ActivityConfig(eta_db=args.eta),
-        sisdr_cfg=SiSdrConfig(clamp_db=args.clamp_db),
-        bins=BinEdges(edges),
-    )
 
 
 def _read_manifest(path: str) -> list[tuple[int, tuple[str, str, str]]]:
@@ -251,7 +262,8 @@ def _evaluate_manifest(args):
             # checks the mixture by name before si_sdr scores it. sisdri is
             # si_sdr_improvement without scoring the estimate twice.
             score = si_sdr(est, tgt, setup.sisdr_cfg)
-            chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
+            with _flags(args):
+                chunks = make_chunks(len(est), setup.chunking, est.sample_rate)
             stats = sc_statistics(
                 est, tgt, mix, chunks, setup.activity, setup.sisdr_cfg, setup.bins
             )
@@ -326,8 +338,9 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
     fine-tunes run at the learning rate of `lr_flag` for the epochs of
     `epochs_flag`.
 
-    Checks every setting at once, naming its flag, then keeps freed heap in
-    this process (`keep_freed_heap`), then returns a generator of (kind,
+    Builds every config at once, each checking its own settings, and
+    names the flag of a refused one; then keeps freed heap in this
+    process (`keep_freed_heap`), then returns a generator of (kind,
     params, history): first (None, ...) for the plain-loss warm-up of
     --warmup-epochs at --lr from the seed's initialization, then one
     fine-tune per loss kind in `kinds` order, each starting from the warm-up
@@ -361,35 +374,22 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
     """
     finetune_lr, finetune_epochs = (getattr(args, flag[2:].replace("-", "_"))
                                     for flag in (lr_flag, epochs_flag))
-    for flag, value, least in (("--seed", args.seed, 0), ("--train-size", args.train_size, 1),
-                               ("--val-size", args.val_size, 1), ("--batch", args.batch, 1),
-                               ("--warmup-epochs", args.warmup_epochs, 0),
-                               (epochs_flag, finetune_epochs, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
-    for flag, value in {"--lr": args.lr, lr_flag: finetune_lr}.items():  # one entry if the same
-        if not 0 < value < math.inf:
-            raise ValueError(f"{flag} must be finite and positive, got {value}")
-    for flag, value in (("--gamma1", args.gamma1), ("--gamma2", args.gamma2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
-    w = _parse_floats(args.weights, "--weights", 4)
-    if not (all(map(math.isfinite, w)) and w[0] >= w[1] >= w[2] >= w[3] > 0):
-        raise ValueError(
-            f"--weights must be finite, non-increasing and positive, got {args.weights!r}"
+    for flag, size in (("--train-size", args.train_size), ("--val-size", args.val_size)):
+        with _flags(args, n_examples=flag):
+            check_corpus_size(size)
+    with _flags(args, epochs="--warmup-epochs"):
+        warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
+    with _flags(args, learning_rate=lr_flag, epochs=epochs_flag):
+        tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
+    with _flags(args, signal=f"utterance of --duration {args.duration}"):
+        setup = replace(
+            _loss_setup(args),
+            scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
+            weight_cfg=WeightLossConfig(weights=_parse_floats(args.weights, "--weights", 4)),
         )
-    if not 1.0 <= args.duration < math.inf:
-        raise ValueError(f"--duration must be finite and at least 1.0, got {args.duration}")
-    setup = replace(
-        _loss_setup(args),
-        scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
-        weight_cfg=WeightLossConfig(weights=w),
-    )
-    # one utterance's chunk grid refuses a chunking the corpora cannot take;
-    # the tiling of validation passes wherever it passes
-    make_chunks(n_samples(args.duration), setup.chunking, DEFAULT_SAMPLE_RATE)
-    warm_cfg = TrainConfig(args.lr, args.warmup_epochs, args.batch, args.seed)
-    tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
+        # one utterance's chunk grid refuses a chunking the corpora cannot
+        # take; the tiling of validation passes wherever it passes
+        make_chunks(n_samples(args.duration), setup.chunking, DEFAULT_SAMPLE_RATE)
     # before the first fork, so that every worker and fine-tune inherits it
     keep_freed_heap()
 

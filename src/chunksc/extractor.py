@@ -23,7 +23,7 @@ from scipy.special import expit
 
 from ._blas import one_blas_thread
 from ._fork import Workers, shared_zeros
-from .errors import DimensionMismatch, DivergenceDetected, EmptyInput
+from .errors import DimensionMismatch, DivergenceDetected, EmptyInput, InvalidSetting
 from .losses import LossResult, LossSetup, compute_loss
 from .metrics import distribution_report, sc_statistics, si_sdr_improvement
 from .signal_core import ChunkingConfig, Waveform, make_chunks
@@ -223,9 +223,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.epochs < 0 or self.batch < 1:
-            raise ValueError("invalid training configuration")
+            raise InvalidSetting("learning_rate", self.learning_rate, "must be finite and positive")
+        for name, least in (("epochs", 0), ("batch", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise InvalidSetting(name, getattr(self, name), f"must be at least {least}")
 
 
 @dataclass

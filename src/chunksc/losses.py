@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoValidChunks
+from .errors import InvalidSetting, NoValidChunks
 from .metrics import BinEdges, SiSdrConfig, _score_chunks, _utterance_si_sdr, sc_statistics
 from .signal_core import ActivityConfig, ChunkGrid, ChunkingConfig, Waveform, make_chunks
 
@@ -53,8 +53,9 @@ class ScaleLossConfig:
     gamma2: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma1) and math.isfinite(self.gamma2)):
-            raise ValueError("gamma1 and gamma2 must be finite")
+        for name in ("gamma1", "gamma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSetting(name, getattr(self, name), "must be finite")
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ class WeightLossConfig:
 
     def __post_init__(self):
         w = self.weights
-        if not all(math.isfinite(x) for x in w):
-            raise ValueError(f"weights must be finite, got {w}")
-        if len(w) != 4 or not (w[0] >= w[1] >= w[2] >= w[3] > 0):
-            raise ValueError("weights must satisfy w0 >= w1 >= w2 >= w3 > 0")
+        if len(w) != 4:
+            raise InvalidSetting("weights", w, "must be 4 numbers")
+        if not (all(map(math.isfinite, w)) and w[0] >= w[1] >= w[2] >= w[3] > 0):
+            raise InvalidSetting("weights", w, "must be finite, non-increasing and positive")
 
 
 @dataclass(frozen=True)

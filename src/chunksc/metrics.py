@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, ZeroTarget
+from .errors import EmptyInput, InvalidSetting, LengthMismatch, ZeroTarget
 from .signal_core import ActivityConfig, ChunkGrid, Waveform, active_mask
 
 _LN10_OVER_10 = math.log(10.0) / 10.0
@@ -50,7 +50,7 @@ class SiSdrConfig:
 
     def __post_init__(self):
         if not self.clamp_db >= 30:  # NaN fails too
-            raise ValueError("clamp_db must be >= 30")
+            raise InvalidSetting("clamp_db", self.clamp_db, "must be at least 30")
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class BinEdges:
 
     def __post_init__(self):
         if len(self.edges) != 3 or not (self.edges[0] < self.edges[1] < self.edges[2]):
-            raise ValueError("edges must be 3 strictly increasing values")
+            raise InvalidSetting("edges", self.edges, "must be 3 strictly increasing numbers")
 
     def classify(self, value):
         """Class index 0..3 of a chunkwise improvement value; element-wise on an array."""

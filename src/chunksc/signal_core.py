@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChunkLenExceedsSignal, InvalidHop, LengthMismatch
+from .errors import ChunkLenExceedsSignal, InvalidHop, InvalidSetting, LengthMismatch
 
 # Additive floor inside the dB conversion; keeps silence finite without
 # perturbing audible-level energies.
@@ -56,15 +56,14 @@ class ChunkingConfig:
     hop_ms: float = 125.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.chunk_len_ms) and math.isfinite(self.hop_ms)):
-            raise ValueError("chunk_len_ms and hop_ms must be finite")
+        for name in ("chunk_len_ms", "hop_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSetting(name, getattr(self, name), "must be finite")
         if self.chunk_len_ms <= 0:
-            raise ValueError("chunk_len_ms must be positive")
+            raise InvalidSetting("chunk_len_ms", self.chunk_len_ms, "must be positive")
         if not 0 < self.hop_ms <= self.chunk_len_ms:
-            raise InvalidHop(
-                f"hop_ms must be positive and at most chunk_len_ms {self.chunk_len_ms}, "
-                f"got {self.hop_ms}"
-            )
+            rule = f"must be positive and at most {{chunk_len_ms}} {self.chunk_len_ms}"
+            raise InvalidHop("hop_ms", self.hop_ms, rule)
 
 
 @dataclass(frozen=True)
@@ -95,12 +94,22 @@ class ActivityConfig:
 
     def __post_init__(self):
         if not math.isfinite(self.eta_db):
-            raise ValueError("eta_db must be finite")
+            raise InvalidSetting("eta_db", self.eta_db, "must be finite")
 
 
-def samples_from_ms(ms: float, sample_rate: int) -> int:
-    """Milliseconds to sample count, rounded to nearest."""
-    return int(round(ms * sample_rate / 1000.0))
+def _samples(cfg: ChunkingConfig, field: str, sample_rate: int) -> int:
+    """The `field` of `cfg`, in ms, as a sample count at `sample_rate`,
+    rounded to nearest. One under 1 sample, or too long to count, raises
+    InvalidSetting on `field` (InvalidHop for the hop)."""
+    ms = getattr(cfg, field)
+    error = InvalidHop if field == "hop_ms" else InvalidSetting
+    samples = ms * sample_rate / 1000.0
+    if samples == math.inf:
+        raise error(field, ms, f"{{value}} overflows a sample count at {sample_rate} Hz")
+    samples = int(round(samples))
+    if samples < 1:
+        raise error(field, ms, f"{{value}} is under 1 sample at {sample_rate} Hz")
+    return samples
 
 
 def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> ChunkGrid:
@@ -109,20 +118,15 @@ def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> ChunkG
     Returns the ChunkGrid of exactly ceil((T-L)/O + 1) chunks, which the
     chunk-level metrics and losses take. Starts advance by exactly the
     hop; the last chunk is truncated at the signal end (never zero-padded, so
-    energy statistics stay honest).
+    energy statistics stay honest). A chunk longer than the signal raises
+    ChunkLenExceedsSignal.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    chunk_len = samples_from_ms(cfg.chunk_len_ms, sample_rate)
-    if chunk_len < 1:
-        raise ValueError(f"chunk length {cfg.chunk_len_ms} ms is under 1 sample at {sample_rate} Hz")
+    chunk_len = _samples(cfg, "chunk_len_ms", sample_rate)
     if chunk_len > n_samples:
-        raise ChunkLenExceedsSignal(
-            f"chunk length {chunk_len} samples exceeds signal length {n_samples}"
-        )
-    hop = samples_from_ms(cfg.hop_ms, sample_rate)
-    if hop <= 0:  # ChunkingConfig keeps it at most chunk_len
-        raise InvalidHop(f"hop must be positive, got {hop} samples")
+        rule = (f"{{value}} is {chunk_len} samples at {sample_rate} Hz, "
+                f"more than the {n_samples} of the {{signal}}")
+        raise ChunkLenExceedsSignal("chunk_len_ms", cfg.chunk_len_ms, rule)
+    hop = _samples(cfg, "hop_ms", sample_rate)  # ChunkingConfig keeps it at most chunk_len
     n_chunks = math.ceil((n_samples - chunk_len) / hop) + 1
     return ChunkGrid(hop, chunk_len, n_chunks, n_samples)
 

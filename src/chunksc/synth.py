@@ -17,7 +17,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from ._fork import worker_count
-from .errors import SameSpeaker
+from .errors import InvalidSetting, SameSpeaker
 from .signal_core import Waveform
 
 DEFAULT_SAMPLE_RATE = 8000
@@ -111,10 +111,21 @@ def gen_example(
 
 
 def n_samples(duration_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
-    """The samples of an utterance of `duration_s`, which must be finite and at least 1 s."""
-    if not 1.0 <= duration_s < np.inf:
-        raise ValueError(f"duration_s must be finite and >= 1.0, got {duration_s}")
-    return int(round(duration_s * sample_rate))
+    """The samples of an utterance of `duration_s`, which must be finite, at
+    least 1 s, and short enough to count in samples."""
+    if not 1.0 <= duration_s < math.inf:
+        raise InvalidSetting("duration_s", duration_s, "must be finite and at least 1.0")
+    samples = duration_s * sample_rate
+    if samples == math.inf:
+        rule = f"{{value}} overflows a sample count at {sample_rate} Hz"
+        raise InvalidSetting("duration_s", duration_s, rule)
+    return int(round(samples))
+
+
+def check_corpus_size(n_examples: int):
+    """`make_corpus`'s rule on its size: at least 1 example."""
+    if n_examples < 1:
+        raise InvalidSetting("n_examples", n_examples, "must be at least 1")
 
 
 def _render_examples(duration_s, sample_rate, signals, enrollments, draws):
@@ -208,10 +219,9 @@ def make_corpus(
     `gen_example` of each draw on one BLAS thread. No process is forked,
     and no thread outlives the call.
     """
-    if n_examples < 1:
-        raise ValueError(f"n_examples must be at least 1, got {n_examples}")
+    check_corpus_size(n_examples)
     if not 0 < sample_rate < math.inf:
-        raise ValueError(f"sample_rate must be finite and positive, got {sample_rate}")
+        raise InvalidSetting("sample_rate", sample_rate, "must be finite and positive")
     n = n_samples(duration_s, sample_rate)
     speakers = make_speakers(CORPUS_SPEAKERS, seed)
     rng = np.random.default_rng(seed + 1)

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import multiprocessing
 import os
@@ -14,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from chunksc import (
@@ -150,12 +153,18 @@ class TestEval:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--chunk-ms", "0.01"], "under 1 sample"),
+            (["--chunk-ms", "0.01"], "--chunk-ms 0.01 is under 1 sample at 8000 Hz"),
+            (["--hop-ms", "1e-9", "--eval-hop", "overlap"],
+             "--hop-ms 1e-09 is under 1 sample at 8000 Hz"),
+            (["--chunk-ms", "1e308"], "--chunk-ms 1e+308 overflows a sample count at 8000 Hz"),
+            (["--chunk-ms", "3000"],
+             "--chunk-ms 3000.0 is 24000 samples at 8000 Hz, more than the 16000 of the signal"),
             (["--chunk-ms", "inf"], "--chunk-ms must be finite, got inf"),
             (["--hop-ms", "inf", "--eval-hop", "overlap"], "--hop-ms must be finite, got inf"),
             (["--clamp-db", "nan"], "--clamp-db must be finite, got nan"),
         ],
-        ids=["chunk-under-1-sample", "chunk-inf", "hop-inf", "clamp-nan"],
+        ids=["chunk-under-1-sample", "hop-under-1-sample", "chunk-overflows", "chunk-over-the-row",
+             "chunk-inf", "hop-inf", "clamp-nan"],
     )
     def test_unusable_chunk_or_clamp_setting_exits_2(self, tmp_path, corpus, capsys, flags, message):
         manifest = manifest_for(tmp_path, corpus, "target")
@@ -577,12 +586,23 @@ class TestTrain:
          "--hop-ms must be positive and at most --chunk-ms 0.01, got 125.0"),
         (["train", "--duration", "inf"], "--duration must be finite and at least 1.0, got inf"),
         (["compare", "--duration", "0.5"], "--duration must be finite and at least 1.0, got 0.5"),
+        (["train", "--hop-ms", "1e-9"], "--hop-ms 1e-09 is under 1 sample at 8000 Hz"),
+        (["train", "--duration", "1e308"], "--duration 1e+308 overflows a sample count at 8000 Hz"),
+        (["train", "--chunk-ms", "1e308", "--hop-ms", "1e308"],
+         "--chunk-ms 1e+308 overflows a sample count at 8000 Hz"),
+        (["train", "--chunk-ms", "3000"], "--chunk-ms 3000.0 is 24000 samples at 8000 Hz, "
+                                          "more than the 16000 of the utterance of --duration 2.0"),
+        (["compare", "--chunk-ms", "5000", "--duration", "4"],
+         "--chunk-ms 5000.0 is 40000 samples at 8000 Hz, "
+         "more than the 32000 of the utterance of --duration 4.0"),
     ], ids=["train-batch", "train-epochs", "train-warmup-epochs", "train-lr", "train-finetune-lr",
             "compare-batch", "compare-warmup-epochs", "compare-finetune-lr", "train-bins-not-a-number",
             "train-weights-not-a-number", "train-bins-not-increasing", "train-eta-nan",
             "train-weights-increasing", "train-weights-zero", "train-clamp-nan", "train-clamp-20",
             "train-gamma1-nan", "compare-gamma2-inf", "train-chunk-nan", "train-hop-nan",
-            "train-hop-300", "train-chunk-under-hop", "train-duration-inf", "compare-duration-0.5"])
+            "train-hop-300", "train-chunk-under-hop", "train-duration-inf", "compare-duration-0.5",
+            "train-hop-under-1-sample", "train-duration-overflows", "train-chunk-overflows",
+            "train-chunk-over-duration", "compare-chunk-over-duration"])
     def test_training_refusal_names_the_flag(self, tmp_path, capsys, args, message):
         out = tmp_path / "run"
         assert main([*args, "--train-size", "2", "--val-size", "2", "--out", str(out)]) == 2
@@ -651,6 +671,77 @@ class TestTrain:
         assert [int(line.split(",")[0]) for line in lines[2:]] == [0, 1, 1, 2]
         assert lines[-1] == "2,2.000000,1.750000,30.000000"
         assert not (out / "checkpoint.json").exists()
+
+
+class Accepted(Exception):
+    """Raised by the stubbed first stage of `train` and `compare`: every setting passed."""
+
+
+# Edge values for every setting flag, and list items for --bins and --weights.
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300", str(10**30), "x", ""]
+SCORING_FLAGS = ["--chunk-ms", "--hop-ms", "--eta", "--clamp-db", "--bins"]
+TRAINING_FLAGS = [*SCORING_FLAGS, "--seed", "--lr", "--finetune-lr", "--batch", "--train-size",
+                  "--val-size", "--duration", "--gamma1", "--gamma2", "--weights", "--warmup-epochs"]
+SETTING_FLAGS = {"eval": SCORING_FLAGS, "distribution": SCORING_FLAGS,
+                 "train": [*TRAINING_FLAGS, "--epochs"], "compare": [*TRAINING_FLAGS, "--finetune-epochs"]}
+LIST_LENGTHS = {"--bins": 3, "--weights": 4}
+RUN_NUMBERS = itertools.count()  # a fresh --out for each example
+
+
+@st.composite
+def setting_runs(draw):
+    """(command, the setting flags given, their arguments)."""
+    command = draw(st.sampled_from(sorted(SETTING_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(SETTING_FLAGS[command]), min_size=1, max_size=3, unique=True))
+    argv = []
+    for flag in flags:
+        if flag in LIST_LENGTHS:
+            items = st.lists(st.sampled_from(EDGE_VALUES), max_size=LIST_LENGTHS[flag] + 1)
+            argv.append(f"{flag}={','.join(draw(items))}")
+        else:
+            argv.append(f"{flag}={draw(st.sampled_from(EDGE_VALUES))}")
+    if command in ("eval", "distribution") and draw(st.booleans()):
+        argv.append("--eval-hop=overlap")
+    return command, flags, argv
+
+
+@pytest.fixture(scope="module")
+def one_row_manifest(tmp_path_factory, corpus):
+    root = tmp_path_factory.mktemp("one-row")
+    paths = [str(root / f"{name}.wav") for name in ("est", "tgt", "mix")]
+    ex = corpus[0]
+    for path, w in zip(paths, (ex.target, ex.target, ex.mixture)):
+        write_wav(path, w)
+    return write_manifest(root, [paths])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=setting_runs())
+def test_a_setting_is_taken_or_refused_naming_its_flag(tmp_path, monkeypatch, capsys,
+                                                         one_row_manifest, run):
+    # train and compare stop at their first stage, so nothing is rendered, trained or forked
+    def first_stage(*args, **kwargs):
+        raise Accepted
+
+    for name in ("make_corpus", "train"):
+        monkeypatch.setattr(cli, name, first_stage)
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: None)
+    command, flags, argv = run
+    out = tmp_path / f"out{next(RUN_NUMBERS)}.csv"
+    if command in ("eval", "distribution"):
+        argv = [*argv, "--manifest", one_row_manifest]
+    try:
+        code = main([command, *argv, "--out", str(out)])
+    except SystemExit as exc:  # argparse refuses a value its flag's type does not take
+        code = exc.code
+    except Accepted:
+        code = 0
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert any(flag in err.splitlines()[-1] for flag in flags), err
+        assert not out.exists()
 
 
 @contextmanager

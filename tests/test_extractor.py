@@ -458,10 +458,10 @@ class TestTraining:
             train(TrainConfig(), [], self.VAL)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=-1)
+        for field, value in (("learning_rate", 0.0), ("epochs", -1), ("batch", 0), ("seed", -1)):
+            with pytest.raises(ValueError) as exc:
+                TrainConfig(**{field: value})
+            assert (exc.value.field, exc.value.value) == (field, value)
 
 
 def test_one_blas_thread_finds_the_libraries_once_and_restores_each_count():

@@ -132,6 +132,12 @@ class TestLossScaleSisdr:
             wav(e), wav(t)
         ).value
 
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2"])
+    def test_scale_factors_must_be_finite(self, field):
+        with pytest.raises(ValueError) as exc:
+            ScaleLossConfig(**{field: float("inf")})
+        assert (exc.value.field, exc.value.value) == (field, float("inf"))
+
     def test_degenerate_uses_gamma1(self):
         # All chunks inactive: scaling factor falls back to gamma1 alone.
         n = 512
@@ -258,10 +264,13 @@ class TestLossWeightSisdr:
             loss_weight_sisdr(wav(e), wav(t), wav(m), chunks)
 
     def test_weight_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             WeightLossConfig(weights=(1.0, 5.0, 1.0, 1.0))
+        assert (exc.value.field, exc.value.value) == ("weights", (1.0, 5.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             WeightLossConfig(weights=(5.0, 5.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="^weights must be 4 numbers, got"):
+            WeightLossConfig(weights=(5.0, 1.0, 1.0))
 
     def test_gradient_matches_finite_differences(self):
         for seed in range(20):

@@ -100,8 +100,9 @@ class TestSiSdr:
             si_sdr(wav(np.ones(16)), wav(np.ones(17)))
 
     def test_clamp_below_30_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             SiSdrConfig(clamp_db=20.0)
+        assert (exc.value.field, exc.value.value) == ("clamp_db", 20.0)
 
     def test_nan_clamp_rejected_inf_clamp_accepted(self):
         # NaN fails every comparison, so "clamp_db < 30" let it through.
@@ -148,8 +149,9 @@ class TestBinEdges:
         assert b.classify(5.0 + 1e-12) == 3
 
     def test_edges_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             BinEdges(edges=(0.0, 0.0, 5.0))
+        assert (exc.value.field, exc.value.value) == ("edges", (0.0, 0.0, 5.0))
 
 
 def two_tone_setup(n_chunks=8, chunk_ms=250):

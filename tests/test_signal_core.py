@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from chunksc import (
     ChunkLenExceedsSignal,
     ChunkingConfig,
     InvalidHop,
+    InvalidSetting,
     LengthMismatch,
     Waveform,
     make_chunks,
@@ -98,6 +100,33 @@ class TestMakeChunks:
     def test_hop_exceeding_length_rejected(self):
         with pytest.raises(InvalidHop):
             make_chunks(1000, ChunkingConfig(chunk_len_ms=100, hop_ms=150), 1000)
+
+
+@pytest.mark.parametrize("make, error, field, value, message", [
+    (lambda: ChunkingConfig(chunk_len_ms=math.inf), InvalidSetting, "chunk_len_ms", math.inf,
+     "chunk_len_ms must be finite, got inf"),
+    (lambda: ChunkingConfig(chunk_len_ms=-1.0), InvalidSetting, "chunk_len_ms", -1.0,
+     "chunk_len_ms must be positive, got -1.0"),
+    (lambda: ChunkingConfig(100, 150), InvalidHop, "hop_ms", 150,
+     "hop_ms must be positive and at most chunk_len_ms 100, got 150"),
+    (lambda: ActivityConfig(eta_db=-math.inf), InvalidSetting, "eta_db", -math.inf,
+     "eta_db must be finite, got -inf"),
+    (lambda: make_chunks(1000, ChunkingConfig(0.01, 0.01), 8000), InvalidSetting,
+     "chunk_len_ms", 0.01, "chunk_len_ms 0.01 is under 1 sample at 8000 Hz"),
+    (lambda: make_chunks(4000, ChunkingConfig(250, 1e-9), 8000), InvalidHop,
+     "hop_ms", 1e-9, "hop_ms 1e-09 is under 1 sample at 8000 Hz"),
+    (lambda: make_chunks(1000, ChunkingConfig(1e308, 1e308), 8000), InvalidSetting,
+     "chunk_len_ms", 1e308, "chunk_len_ms 1e+308 overflows a sample count at 8000 Hz"),
+    (lambda: make_chunks(100, ChunkingConfig(250, 125), 1000), ChunkLenExceedsSignal,
+     "chunk_len_ms", 250, "chunk_len_ms 250 is 250 samples at 1000 Hz, more than the 100 of the signal"),
+], ids=["chunk-inf", "chunk-negative", "hop-over-chunk", "eta-inf", "chunk-under-1-sample",
+        "hop-under-1-sample", "chunk-overflows", "chunk-over-signal"])
+def test_refusal_carries_the_setting_and_its_value(make, error, field, value, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert isinstance(exc.value, ValueError)
+    assert (exc.value.field, exc.value.value, str(exc.value)) == (field, value, message)
+    assert str(pickle.loads(pickle.dumps(exc.value))) == message  # as a forked process sends it
 
 
 class TestChunkRows:

@@ -102,20 +102,24 @@ class TestMakeCorpus:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_examples_rejected(self, n):
-        with pytest.raises(ValueError, match="n_examples"):
+        with pytest.raises(ValueError, match="n_examples") as exc:
             make_corpus(n, seed=21)
+        assert (exc.value.field, exc.value.value) == ("n_examples", n)
 
     @pytest.mark.parametrize("kw, name", [
         ({"sample_rate": 0}, "sample_rate"),
         ({"sample_rate": -8000}, "sample_rate"),
-    ], ids=["rate-zero", "rate-negative"])
+        ({"duration_s": 0.5}, "duration_s"),
+        ({"duration_s": 1e308}, "duration_s"),
+    ], ids=["rate-zero", "rate-negative", "duration-short", "duration-overflows"])
     def test_bad_argument_refused_by_name_before_rendering(self, monkeypatch, kw, name):
         def renders(*args):
             raise AssertionError("rendering started")
 
         monkeypatch.setattr(synth, "_render_in_threads", renders)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=name) as exc:
             make_corpus(3, seed=21, **kw)
+        assert (exc.value.field, exc.value.value) == (name, kw[name])
 
 
 def draws_of(n_examples, seed):
