@@ -43,6 +43,16 @@ def shared_zeros(shape) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
+def split(items, n: int) -> list[list]:
+    """`items` in at most `n` contiguous blocks, the caller's first, sizes
+    differing by at most one, the larger first; only the first may be empty."""
+    items = list(items)
+    q, r = divmod(len(items), n)
+    ends = [k * q + min(k, r) for k in range(n + 1)]
+    blocks = [items[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    return blocks[:1] + [b for b in blocks[1:] if b]
+
+
 class ChildTraceback(Exception):
     """The traceback, as text, of an error raised in a forked process."""
 
@@ -179,15 +189,8 @@ class Workers:
 
     def split(self, items) -> list[list]:
         """`items` in contiguous blocks, at most one per process, this
-        process's first; sizes differ by at most one, the larger first."""
-        items = list(items)
-        q, r = divmod(len(items), 1 + len(self._workers))
-        blocks, lo = [], 0
-        for k in range(1 + len(self._workers)):
-            hi = lo + q + (k < r)
-            blocks.append(items[lo:hi])
-            lo = hi
-        return blocks[:1] + [b for b in blocks[1:] if b]
+        process's first (`split`)."""
+        return split(items, 1 + len(self._workers))
 
     def map(self, fn, blocks, *args) -> list:
         """[fn(*args, block) for block in blocks], for blocks from `split`:

@@ -206,11 +206,12 @@ def _loss_setup(args, overlap: bool = True) -> LossSetup:
     """The scoring settings every subcommand shares: chunks of --chunk-ms at
     --hop-ms, or without overlap when not `overlap`, the activity gate, the
     clamp and the class bins. Each config checks its own settings; a
-    refusal names the flag."""
-    # SiSdrConfig takes an infinite clamp (no clamping), which a JSON report
-    # or config header could not hold
-    if not math.isfinite(args.clamp_db):
-        raise ValueError(f"--clamp-db must be finite, got {args.clamp_db}")
+    refusal names the flag. First it refuses a non-finite float anywhere in
+    the effective config, which the echoed config could not hold: a config
+    built before this call words that refusal its own way."""
+    for name, value in _effective_config(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     with _flags(args):
         return LossSetup(
             chunking=ChunkingConfig(args.chunk_ms, args.hop_ms if overlap else args.chunk_ms),
@@ -382,6 +383,7 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
     with _flags(args, learning_rate=lr_flag, epochs=epochs_flag):
         tune_cfg = replace(warm_cfg, learning_rate=finetune_lr, epochs=finetune_epochs)
     with _flags(args, signal=f"utterance of --duration {args.duration}"):
+        utterance = n_samples(args.duration)
         setup = replace(
             _loss_setup(args),
             scale_cfg=ScaleLossConfig(gamma1=args.gamma1, gamma2=args.gamma2),
@@ -389,7 +391,7 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
         )
         # one utterance's chunk grid refuses a chunking the corpora cannot
         # take; the tiling of validation passes wherever it passes
-        make_chunks(n_samples(args.duration), setup.chunking, DEFAULT_SAMPLE_RATE)
+        make_chunks(utterance, setup.chunking, DEFAULT_SAMPLE_RATE)
     # before the first fork, so that every worker and fine-tune inherits it
     keep_freed_heap()
 

@@ -411,12 +411,23 @@ def save_checkpoint(path: str, p: ToyExtractorParams | str) -> None:
 
 
 def load_checkpoint(path: str) -> ToyExtractorParams:
+    """The parameters of a JSON checkpoint that `save_checkpoint` wrote, as
+    `train` and `compare` write them. Raises ValueError naming `path` for a
+    file of another format, a missing array, data that does not fill its
+    shape, or shapes that do not fit together."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != "chunksc-params-v1":
+    if not isinstance(payload, dict) or payload.get("format") != "chunksc-params-v1":
         raise ValueError(f"{path}: not a chunksc checkpoint")
-    arrays = {
-        name: np.asarray(spec["data"]).reshape(spec["shape"])
-        for name, spec in payload["arrays"].items()
-    }
-    return ToyExtractorParams(**arrays)
+    try:
+        specs = payload["arrays"]
+        params = ToyExtractorParams(**{
+            f.name: np.asarray(specs[f.name]["data"]).reshape(specs[f.name]["shape"])
+            for f in fields(ToyExtractorParams)
+        })
+        _check_shapes(params)
+    except KeyError as exc:
+        raise ValueError(f"{path}: the checkpoint has no {exc}") from None
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return params

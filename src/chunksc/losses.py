@@ -13,10 +13,13 @@ chunks that `r_scr` counts. Each result carries the branch state it was
 computed on (clamp flags, sign, chunk validity, classes), which
 `gradient_check` compares across perturbations.
 
-`compute_loss` is the one dispatch on `LossKind`, and a `LossSetup` is its
-one way in: training and `gradient_check` both pass it theirs, so the
-harness checks the loss that training runs, on the chunk grid training
-uses. Its weighted-to-plain fallback is flagged `degenerate`.
+Every loss takes the arguments of `compute_loss`, `(setup, estimate,
+target, mixture=None)`, and reads its settings from the `LossSetup`: the
+chunkwise ones score the chunks that `setup.chunking` lays on the estimate.
+`compute_loss` is the one dispatch on `setup.loss_kind`: training and
+`gradient_check` both pass it their setup, so the harness checks the loss
+that training runs, on the chunk grid training uses. Its weighted-to-plain
+fallback is flagged `degenerate`.
 
 The confusion ratio enters the scaled loss as a fraction in [0, 1], keeping
 the scaling factor within [gamma1 - gamma2, gamma1 + gamma2].
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidSetting, NoValidChunks
 from .metrics import BinEdges, SiSdrConfig, _score_chunks, _utterance_si_sdr, sc_statistics
-from .signal_core import ActivityConfig, ChunkGrid, ChunkingConfig, Waveform, make_chunks
+from .signal_core import ActivityConfig, ChunkingConfig, Waveform, make_chunks
 
 
 class LossKind(enum.Enum):
@@ -102,10 +105,10 @@ class LossResult:
 
 
 def loss_sisdr(
-    estimate: Waveform, target: Waveform, cfg: SiSdrConfig = SiSdrConfig()
+    setup: LossSetup, estimate: Waveform, target: Waveform, mixture: Waveform | None = None
 ) -> LossResult:
-    """Negative SI-SDR with its analytic gradient."""
-    whole = _utterance_si_sdr(estimate, target, cfg, grad=True)
+    """Negative SI-SDR with its analytic gradient; reads the clamp only."""
+    whole = _utterance_si_sdr(estimate, target, setup.sisdr_cfg, grad=True)
     return LossResult(
         value=-float(whole.value[0]),
         grad_estimate=-whole.grad[0],
@@ -114,31 +117,25 @@ def loss_sisdr(
 
 
 def loss_scale_sisdr(
-    estimate: Waveform,
-    target: Waveform,
-    mixture: Waveform,
-    chunks: ChunkGrid,
-    activity: ActivityConfig = ActivityConfig(),
-    sisdr_cfg: SiSdrConfig = SiSdrConfig(),
-    scale_cfg: ScaleLossConfig = ScaleLossConfig(),
-    bins: BinEdges = BinEdges(),
+    setup: LossSetup, estimate: Waveform, target: Waveform, mixture: Waveform | None = None
 ) -> LossResult:
     """Utterance loss -alpha * SI-SDR with alpha driven by the confusion ratio.
 
     alpha = gamma1 - gamma2*r when SI-SDR >= 0, else gamma1 + gamma2*r, where
     r is the chunkwise confusion ratio as a fraction. alpha is a constant for
-    differentiation; when no chunk is valid, r is taken as 0 and the result
-    is flagged degenerate.
+    differentiation; when no chunk is valid, r is 0 and the result is flagged
+    degenerate.
     """
-    stats = sc_statistics(estimate, target, mixture, chunks, activity, sisdr_cfg, bins)
-    r = 0.0 if stats.degenerate else stats.r_scr / 100.0
-    whole = _utterance_si_sdr(estimate, target, sisdr_cfg, grad=True)
+    chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
+    stats = sc_statistics(
+        estimate, target, mixture, chunks, setup.activity, setup.sisdr_cfg, setup.bins
+    )
+    r = stats.r_scr / 100.0
+    whole = _utterance_si_sdr(estimate, target, setup.sisdr_cfg, grad=True)
     value = float(whole.value[0])
     positive = value >= 0.0
-    if positive:
-        alpha = scale_cfg.gamma1 - scale_cfg.gamma2 * r
-    else:
-        alpha = scale_cfg.gamma1 + scale_cfg.gamma2 * r
+    gamma1, gamma2 = setup.scale_cfg.gamma1, setup.scale_cfg.gamma2
+    alpha = gamma1 - gamma2 * r if positive else gamma1 + gamma2 * r
     return LossResult(
         value=-alpha * value,
         grad_estimate=-alpha * whole.grad[0],
@@ -148,28 +145,24 @@ def loss_scale_sisdr(
 
 
 def loss_weight_sisdr(
-    estimate: Waveform,
-    target: Waveform,
-    mixture: Waveform,
-    chunks: ChunkGrid,
-    activity: ActivityConfig = ActivityConfig(),
-    sisdr_cfg: SiSdrConfig = SiSdrConfig(),
-    bins: BinEdges = BinEdges(),
-    wcfg: WeightLossConfig = WeightLossConfig(),
+    setup: LossSetup, estimate: Waveform, target: Waveform, mixture: Waveform | None = None
 ) -> LossResult:
     """Class-weighted chunkwise loss -(1/N_valid) * sum_j w_j * s_j.
 
     Scores the same valid chunks as sc_statistics; raises NoValidChunks when
     there are none.
     """
-    scores = _score_chunks(estimate, target, mixture, chunks, activity, sisdr_cfg, grad=True)
+    chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
+    scores = _score_chunks(
+        estimate, target, mixture, chunks, setup.activity, setup.sisdr_cfg, grad=True
+    )
     valid = scores.valid
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise NoValidChunks("no chunk passed the activity filter")
     values = scores.sisdri[valid]
-    classes = bins.classify(values)
-    weights = np.asarray(wcfg.weights)[classes]
+    classes = setup.bins.classify(values)
+    weights = np.asarray(setup.weight_cfg.weights)[classes]
     coef = np.zeros(valid.size)
     coef[valid] = -(weights / n_valid)
     rows = coef[:, None] * (scores.to_target.grad - scores.to_mixture.grad)
@@ -191,22 +184,18 @@ def compute_loss(
 ) -> LossResult:
     """The loss `setup.loss_kind` names, with its gradient.
 
-    The scaled and weighted losses score the chunks that `setup.chunking`
-    lays on the estimate. The weighted loss is undefined when no chunk is
-    valid (typical for an untrained model whose output is near silence); it
-    then falls back to the plain loss, flagged `degenerate`, so training can
-    proceed.
+    The weighted loss is undefined when no chunk is valid (typical for an
+    untrained model whose output is near silence); it then falls back to the
+    plain loss, flagged `degenerate`, so training can proceed.
     """
     if setup.loss_kind is LossKind.PLAIN:
-        return loss_sisdr(estimate, target, setup.sisdr_cfg)
-    chunks = make_chunks(len(estimate), setup.chunking, estimate.sample_rate)
-    common = (estimate, target, mixture, chunks, setup.activity, setup.sisdr_cfg)
+        return loss_sisdr(setup, estimate, target)
     if setup.loss_kind is LossKind.SCALE:
-        return loss_scale_sisdr(*common, setup.scale_cfg, setup.bins)
+        return loss_scale_sisdr(setup, estimate, target, mixture)
     try:
-        return loss_weight_sisdr(*common, setup.bins, setup.weight_cfg)
+        return loss_weight_sisdr(setup, estimate, target, mixture)
     except NoValidChunks:
-        return replace(loss_sisdr(estimate, target, setup.sisdr_cfg), degenerate=True)
+        return replace(loss_sisdr(setup, estimate, target), degenerate=True)
 
 
 def gradient_check(

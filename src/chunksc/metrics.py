@@ -10,7 +10,7 @@ Two improvement conventions coexist deliberately:
   i.e. the subtracted term scores the estimate chunk against the mixture
   chunk as reference.
 
-The chunkwise confusion ratio r_scr is stored in percent; losses convert it
+The chunkwise confusion ratio r_scr is in percent; losses convert it
 to a [0, 1] fraction.
 
 `_si_sdr_rows` is the only place SI-SDR is computed. It scores a (K, L)
@@ -76,15 +76,28 @@ class BinEdges:
 @dataclass
 class ScStatistics:
     """Chunkwise speaker-confusion bookkeeping of one utterance
-    (`sc_statistics`) or of a pooled corpus (`distribution_report`)."""
+    (`sc_statistics`) or of a pooled corpus (`distribution_report`). The
+    counts, r_scr and `degenerate` follow from `chunk_sisdri`."""
 
     chunk_sisdri: np.ndarray  # one value per valid chunk, chunk order (utterance order when pooled)
-    n_sc: int
-    n_valid: int
-    r_scr: float  # percent in [0, 100]
     class_freq: tuple[int, int, int, int]
     class_sum: tuple[float, float, float, float]
-    degenerate: bool = False
+
+    @property
+    def n_valid(self) -> int:
+        return self.chunk_sisdri.size
+
+    @property
+    def n_sc(self) -> int:  # valid chunks with negative improvement
+        return int(np.sum(self.chunk_sisdri < 0.0))
+
+    @property
+    def r_scr(self) -> float:  # percent in [0, 100]; 0 when no chunk is valid
+        return 100.0 * self.n_sc / self.n_valid if self.n_valid else 0.0
+
+    @property
+    def degenerate(self) -> bool:
+        return self.n_valid == 0
 
 
 @dataclass(frozen=True)
@@ -233,11 +246,6 @@ def chunkwise_sisdri(
     return _score_chunks(estimate, target, mixture, chunks, ActivityConfig(), cfg).sisdri
 
 
-def _confusion_ratio(n_sc: int, n_valid: int) -> float:
-    """r_scr in percent: 100 * N_sc / N_valid, or 0 when no chunk is valid."""
-    return 100.0 * n_sc / n_valid if n_valid else 0.0
-
-
 def sc_statistics(
     estimate: Waveform,
     target: Waveform,
@@ -251,40 +259,28 @@ def sc_statistics(
 
     N_sc counts valid chunks with negative improvement, N_valid counts chunks
     where both target and estimate pass the energy threshold (and neither
-    target nor mixture is silent), and r_scr = 100 * N_sc / N_valid. Also
-    fills the 4-class frequency vector and the per-class sum of chunkwise
-    improvements.
+    target nor mixture is silent), and r_scr = 100 * N_sc / N_valid: all
+    three follow from the valid chunks' improvements, which it keeps with
+    the 4-class frequency vector and the per-class sum of improvements.
     """
     scores = _score_chunks(estimate, target, mixture, chunks, activity, cfg)
     valid = scores.sisdri[scores.valid]
-    n_valid = valid.size
-    n_sc = int(np.sum(valid < 0.0))
     classes = bins.classify(valid)
     return ScStatistics(
         chunk_sisdri=valid,
-        n_sc=n_sc,
-        n_valid=n_valid,
-        r_scr=_confusion_ratio(n_sc, n_valid),
         class_freq=tuple(int(x) for x in np.bincount(classes, minlength=4)),
         class_sum=tuple(float(x) for x in np.bincount(classes, weights=valid, minlength=4)),
-        degenerate=n_valid == 0,
     )
 
 
 def distribution_report(stats: list[ScStatistics]) -> ScStatistics:
     """The pooled statistics of a corpus: every utterance's valid values joined
-    in utterance order, the counts and class sums added, and r_scr from the
-    pooled counts (not a mean of per-utterance ratios)."""
+    in utterance order and the class counts and sums added, so r_scr comes
+    from the pooled counts (not a mean of per-utterance ratios)."""
     if not stats:
         raise EmptyInput("distribution_report needs at least one utterance")
-    n_valid = sum(s.n_valid for s in stats)
-    n_sc = sum(s.n_sc for s in stats)
     return ScStatistics(
         chunk_sisdri=np.concatenate([s.chunk_sisdri for s in stats]),
-        n_sc=n_sc,
-        n_valid=n_valid,
-        r_scr=_confusion_ratio(n_sc, n_valid),
         class_freq=tuple(int(x) for x in np.sum([s.class_freq for s in stats], axis=0, dtype=int)),
         class_sum=tuple(float(x) for x in np.sum([s.class_sum for s in stats], axis=0)),
-        degenerate=n_valid == 0,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from ._fork import worker_count
+from ._fork import split, worker_count
 from .errors import InvalidSetting, SameSpeaker
 from .signal_core import Waveform
 
@@ -112,11 +112,11 @@ def gen_example(
 
 def n_samples(duration_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
     """The samples of an utterance of `duration_s`, which must be finite, at
-    least 1 s, and short enough to count in samples."""
+    least 1 s, and short enough to count in samples (as an array index)."""
     if not 1.0 <= duration_s < math.inf:
         raise InvalidSetting("duration_s", duration_s, "must be finite and at least 1.0")
     samples = duration_s * sample_rate
-    if samples == math.inf:
+    if samples > np.iinfo(np.intp).max:
         rule = f"{{value}} overflows a sample count at {sample_rate} Hz"
         raise InvalidSetting("duration_s", duration_s, rule)
     return int(round(samples))
@@ -171,25 +171,23 @@ def _thread_count() -> int:
 
 
 def _render_in_threads(duration_s, sample_rate, signals, enrollments, draws):
-    """`_render_examples` over `draws` in contiguous blocks, at most one per
-    thread, sizes differing by at most one, the larger first; the first
-    block on this thread. np.sin and the other whole-array ufuncs release
-    the GIL, so the threads run at once. Every thread has ended before the
-    return, also on error; then the first error in block order is raised."""
-    n_threads = min(len(draws), _thread_count())
-    q, r = divmod(len(draws), n_threads)
-    ends = [k * q + min(k, r) for k in range(n_threads + 1)]
-    errors = [None] * n_threads
+    """`_render_examples` over the blocks of `draws` that `_fork.split` makes
+    for one thread per CPU, the first block on this thread. np.sin and the
+    other whole-array ufuncs release the GIL, so the threads run at once.
+    Every thread has ended before the return, also on error; then the first
+    error in block order is raised."""
+    blocks = split(draws, _thread_count())
+    errors = [None] * len(blocks)
 
     def render(k):
         try:
-            _render_examples(duration_s, sample_rate, signals, enrollments, draws[ends[k]:ends[k + 1]])
+            _render_examples(duration_s, sample_rate, signals, enrollments, blocks[k])
         except Exception as exc:  # raised below, once every thread has ended
             errors[k] = exc
 
     started = []
     try:
-        for k in range(1, n_threads):
+        for k in range(1, len(blocks)):
             thread = threading.Thread(target=render, args=(k,), name=f"chunksc render {k}")
             thread.start()
             started.append(thread)

@@ -40,8 +40,9 @@ RATE = 8000
 FD_STEP = {LossKind.PLAIN: 3e-4, LossKind.SCALE: 3e-4, LossKind.WEIGHT: 1e-4}
 SCALE_CFG = ScaleLossConfig(gamma1=1.0, gamma2=0.5)
 # The chunking of every random loss instance, and of the LossSetup its
-# gradient is checked with.
+# losses and gradients are computed with.
 CHUNKING = ChunkingConfig(16, 8)
+SETUP = LossSetup(chunking=CHUNKING)
 
 
 def wav(x):
@@ -147,8 +148,8 @@ def test_criterion_05_scaled_loss_collapse(capsys):
         if stats.degenerate or stats.n_sc != 0:
             continue
         hits += 1
-        plain = loss_sisdr(e, t)
-        scaled = loss_scale_sisdr(e, t, m, chunks)
+        plain = loss_sisdr(SETUP, e, t)
+        scaled = loss_scale_sisdr(SETUP, e, t, m)
         if scaled.value != plain.value or not np.array_equal(
             scaled.grad_estimate, plain.grad_estimate
         ):
@@ -172,7 +173,7 @@ def test_criterion_06_scaled_loss_substitution(capsys):
 def test_criterion_07_unit_weight_collapse(capsys):
     from chunksc import WeightLossConfig, loss_weight_sisdr
 
-    wcfg = WeightLossConfig(weights=(1.0, 1.0, 1.0, 1.0))
+    setup = LossSetup(chunking=CHUNKING, weight_cfg=WeightLossConfig(weights=(1.0, 1.0, 1.0, 1.0)))
     ok = True
     hits = 0
     for seed in range(200):
@@ -181,7 +182,7 @@ def test_criterion_07_unit_weight_collapse(capsys):
         if stats.degenerate:
             continue
         hits += 1
-        res = loss_weight_sisdr(e, t, m, chunks, wcfg=wcfg)
+        res = loss_weight_sisdr(setup, e, t, m)
         if abs(res.value - (-float(np.mean(stats.chunk_sisdri)))) > 1e-12:
             ok = False
         if hits >= 50:
@@ -239,7 +240,7 @@ def test_criterion_09_gradient_orthogonal_to_estimate(capsys):
     ok = True
     for seed in range(100):
         e, t, _, _ = random_loss_instance(seed, n=256)
-        g = loss_sisdr(e, t).grad_estimate
+        g = loss_sisdr(SETUP, e, t).grad_estimate
         bound = 1e-8 * np.linalg.norm(g) * np.linalg.norm(e.samples)
         if abs(float(g @ e.samples)) > bound:
             ok = False

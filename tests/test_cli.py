@@ -176,7 +176,9 @@ class TestEval:
         (["--bins", "a,0,5"], "--bins needs 3 comma-separated numbers, got 'a,0,5'"),
         (["--bins", "0,0,5"], "--bins must be 3 strictly increasing numbers, got '0,0,5'"),
         (["--eta", "nan"], "--eta must be finite, got nan"),
-    ], ids=["bins-not-a-number", "bins-not-increasing", "eta-nan"])
+        # a setting this run does not use is echoed all the same
+        (["--format", "json", "--hop-ms", "nan"], "--hop-ms must be finite, got nan"),
+    ], ids=["bins-not-a-number", "bins-not-increasing", "eta-nan", "unused-hop-nan"])
     def test_scoring_refusal_names_the_flag_before_the_manifest_is_read(
         self, tmp_path, capsys, flags, message
     ):
@@ -533,7 +535,8 @@ class TestTrain:
                       ("--duration", "0.5"), ("--seed", "-1"), ("--batch", "0"),
                       ("--warmup-epochs", "-1"), ("--lr", "0"),
                       ("--warmup-epochs", "1", "--finetune-lr", "0"), ("--bins", "a,0,5"),
-                      ("--bins", "0,0,5"), ("--weights", "5,5,x,1"), ("--eta", "nan")):
+                      ("--bins", "0,0,5"), ("--weights", "5,5,x,1"), ("--eta", "nan"),
+                      ("--duration", "1e300")):
             args = [command, "--train-size", "4", "--val-size", "2", *flags, "--out", str(out)]
             assert main(args) == 2, flags
             assert not out.exists(), flags
@@ -588,6 +591,9 @@ class TestTrain:
         (["compare", "--duration", "0.5"], "--duration must be finite and at least 1.0, got 0.5"),
         (["train", "--hop-ms", "1e-9"], "--hop-ms 1e-09 is under 1 sample at 8000 Hz"),
         (["train", "--duration", "1e308"], "--duration 1e+308 overflows a sample count at 8000 Hz"),
+        (["train", "--duration", "1e300"], "--duration 1e+300 overflows a sample count at 8000 Hz"),
+        # without a warm-up train does not use --finetune-lr, but echoes it
+        (["train", "--finetune-lr", "nan"], "--finetune-lr must be finite, got nan"),
         (["train", "--chunk-ms", "1e308", "--hop-ms", "1e308"],
          "--chunk-ms 1e+308 overflows a sample count at 8000 Hz"),
         (["train", "--chunk-ms", "3000"], "--chunk-ms 3000.0 is 24000 samples at 8000 Hz, "
@@ -601,7 +607,8 @@ class TestTrain:
             "train-weights-increasing", "train-weights-zero", "train-clamp-nan", "train-clamp-20",
             "train-gamma1-nan", "compare-gamma2-inf", "train-chunk-nan", "train-hop-nan",
             "train-hop-300", "train-chunk-under-hop", "train-duration-inf", "compare-duration-0.5",
-            "train-hop-under-1-sample", "train-duration-overflows", "train-chunk-overflows",
+            "train-hop-under-1-sample", "train-duration-overflows",
+            "train-duration-overflows-the-index", "train-unused-finetune-lr-nan", "train-chunk-overflows",
             "train-chunk-over-duration", "compare-chunk-over-duration"])
     def test_training_refusal_names_the_flag(self, tmp_path, capsys, args, message):
         out = tmp_path / "run"
@@ -610,9 +617,10 @@ class TestTrain:
         assert not out.exists()
 
     def test_finetune_lr_without_a_warm_up_is_not_checked(self, tmp_path):
-        # without a warm-up, train runs its one stage at --lr
+        # without a warm-up, train runs its one stage at --lr; a non-finite
+        # value is refused all the same, as the config header cannot hold it
         out = tmp_path / "run"
-        assert main(train_args(str(out), extra=("--epochs", "1", "--finetune-lr", "nan"))) == 0
+        assert main(train_args(str(out), extra=("--epochs", "1", "--finetune-lr", "0"))) == 0
         assert (out / "checkpoint.json").exists()
 
     def test_non_finite_weights_exit_2_before_out_is_made(self, tmp_path, capsys):

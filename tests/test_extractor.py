@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -550,10 +551,21 @@ class TestSerialization:
         for f in dataclasses.fields(ToyExtractorParams):
             assert getattr(q, f.name).tobytes() == getattr(p, f.name).tobytes(), f.name
 
-    def test_checkpoint_format_guard(self, tmp_path):
+    @pytest.mark.parametrize("case", ["other-format", "missing-array", "bad-shape", "shapes-disagree"])
+    def test_checkpoint_format_guard(self, tmp_path, case):
+        payload = json.loads(checkpoint_text(init_params(4)))
+        arrays = payload["arrays"]
+        if case == "other-format":
+            payload = {"format": "something-else"}
+        elif case == "missing-array":
+            del arrays["mask_b1"]
+        elif case == "bad-shape":  # 64 values cannot fill it
+            arrays["mask_b1"]["shape"] = [65]
+        else:  # a bias of 32 for mask_w1's 64 hidden units
+            arrays["mask_b1"] = {"shape": [32], "data": [0.0] * 32}
         path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(str(path))
 
     def test_history_csv_format(self):

@@ -37,9 +37,10 @@ def wav(x):
     return Waveform(np.asarray(x, dtype=float), RATE)
 
 
-# The chunking of every random instance, and of the LossSetup its gradient
-# is checked with.
+# The chunking of every random instance, and of the LossSetup its losses
+# and gradients are computed with.
 CHUNKING = ChunkingConfig(16, 8)
+SETUP = LossSetup(chunking=CHUNKING)
 
 
 def random_instance(seed, n=512):
@@ -55,19 +56,19 @@ class TestLossSisdr:
     def test_perfect_estimate_clamped_zero_grad(self):
         rng = np.random.default_rng(0)
         t = rng.normal(size=64)
-        res = loss_sisdr(wav(t), wav(t))
+        res = loss_sisdr(SETUP, wav(t), wav(t))
         assert res.value == pytest.approx(-60.0)
         assert np.all(res.grad_estimate == 0.0)
 
     def test_value_is_negated_si_sdr(self):
         e, t, _, _ = random_instance(1)
-        assert loss_sisdr(e, t).value == pytest.approx(-si_sdr(e, t), abs=1e-12)
+        assert loss_sisdr(SETUP, e, t).value == pytest.approx(-si_sdr(e, t), abs=1e-12)
 
     def test_value_scale_invariant(self):
         e, t, _, _ = random_instance(2)
         doubled = wav(2.0 * e.samples)
-        assert loss_sisdr(doubled, t).value == pytest.approx(
-            loss_sisdr(e, t).value, abs=1e-9
+        assert loss_sisdr(SETUP, doubled, t).value == pytest.approx(
+            loss_sisdr(SETUP, e, t).value, abs=1e-9
         )
 
     def test_gradient_orthogonal_to_estimate(self):
@@ -75,7 +76,7 @@ class TestLossSisdr:
         # nothing, so the gradient has no component along it.
         for seed in range(100):
             e, t, _, _ = random_instance(seed, n=256)
-            g = loss_sisdr(e, t).grad_estimate
+            g = loss_sisdr(SETUP, e, t).grad_estimate
             bound = 1e-8 * np.linalg.norm(g) * np.linalg.norm(e.samples)
             assert abs(float(g @ e.samples)) <= bound
 
@@ -89,7 +90,7 @@ class TestLossSisdr:
 
     def test_grad_finite_and_sized(self):
         e, t, _, _ = random_instance(4)
-        g = loss_sisdr(e, t).grad_estimate
+        g = loss_sisdr(SETUP, e, t).grad_estimate
         assert g.shape == e.samples.shape
         assert np.isfinite(g).all()
 
@@ -112,8 +113,8 @@ class TestLossScaleSisdr:
             if stats.degenerate or stats.n_sc != 0:
                 continue
             hits += 1
-            plain = loss_sisdr(e, t)
-            scaled = loss_scale_sisdr(e, t, m, chunks)
+            plain = loss_sisdr(SETUP, e, t)
+            scaled = loss_scale_sisdr(SETUP, e, t, m)
             assert scaled.value == plain.value
             assert np.array_equal(scaled.grad_estimate, plain.grad_estimate)
             if hits >= 50:
@@ -125,11 +126,11 @@ class TestLossScaleSisdr:
         t = rng.normal(size=512)
         m = t + rng.normal(size=512)
         e = t + 0.05 * rng.normal(size=512)  # near-perfect: no SC chunks
-        chunks = make_chunks(512, ChunkingConfig(16, 8), RATE)
+        chunks = make_chunks(512, CHUNKING, RATE)
         stats = sc_statistics(wav(e), wav(t), wav(m), chunks)
         assert stats.n_sc == 0
-        assert loss_scale_sisdr(wav(e), wav(t), wav(m), chunks).value == loss_sisdr(
-            wav(e), wav(t)
+        assert loss_scale_sisdr(SETUP, wav(e), wav(t), wav(m)).value == loss_sisdr(
+            SETUP, wav(e), wav(t)
         ).value
 
     @pytest.mark.parametrize("field", ["gamma1", "gamma2"])
@@ -144,10 +145,8 @@ class TestLossScaleSisdr:
         t = 1e-4 * np.ones(n)
         m = t + 1e-4
         e = 1e-4 * np.ones(n)
-        chunks = make_chunks(n, ChunkingConfig(16, 8), RATE)
-        res = loss_scale_sisdr(
-            wav(e), wav(t), wav(m), chunks, scale_cfg=ScaleLossConfig(gamma1=2.0)
-        )
+        setup = replace(SETUP, scale_cfg=ScaleLossConfig(gamma1=2.0))
+        res = loss_scale_sisdr(setup, wav(e), wav(t), wav(m))
         assert res.degenerate
         assert res.value == pytest.approx(-2.0 * si_sdr(wav(e), wav(t)), abs=1e-9)
 
@@ -158,8 +157,8 @@ class TestLossScaleSisdr:
             r = 0.0 if stats.degenerate else stats.r_scr / 100.0
             v = si_sdr(e, t)
             alpha = 1.0 - 0.5 * r if v >= 0 else 1.0 + 0.5 * r
-            res = loss_scale_sisdr(e, t, m, chunks, scale_cfg=SCALE_CFG)
-            plain = loss_sisdr(e, t)
+            res = loss_scale_sisdr(replace(SETUP, scale_cfg=SCALE_CFG), e, t, m)
+            plain = loss_sisdr(SETUP, e, t)
             assert res.value == pytest.approx(alpha * plain.value, abs=1e-9)
             np.testing.assert_allclose(
                 res.grad_estimate, alpha * plain.grad_estimate, atol=1e-12
@@ -222,18 +221,18 @@ class TestLossWeightSisdr:
             stats = sc_statistics(e, t, m, chunks)
             if stats.degenerate:
                 continue
-            res = loss_weight_sisdr(e, t, m, chunks)
+            res = loss_weight_sisdr(SETUP, e, t, m)
             want = WeightOracle.value(list(stats.chunk_sisdri), (5.0, 5.0, 1.0, 1.0))
             assert res.value == pytest.approx(want, abs=1e-9)
 
     def test_unit_weight_collapse(self):
-        wcfg = WeightLossConfig(weights=(1.0, 1.0, 1.0, 1.0))
+        setup = replace(SETUP, weight_cfg=WeightLossConfig(weights=(1.0, 1.0, 1.0, 1.0)))
         for seed in range(50):
             e, t, m, chunks = random_instance(seed)
             stats = sc_statistics(e, t, m, chunks)
             if stats.degenerate:
                 continue
-            res = loss_weight_sisdr(e, t, m, chunks, wcfg=wcfg)
+            res = loss_weight_sisdr(setup, e, t, m)
             assert res.value == pytest.approx(
                 -float(np.mean(stats.chunk_sisdri)), abs=1e-12
             )
@@ -247,10 +246,10 @@ class TestLossWeightSisdr:
             if stats.degenerate or stats.class_sum[0] >= 0.0:
                 continue
             lo = loss_weight_sisdr(
-                e, t, m, chunks, wcfg=WeightLossConfig(weights=(5.0, 5.0, 1.0, 1.0))
+                replace(SETUP, weight_cfg=WeightLossConfig(weights=(5.0, 5.0, 1.0, 1.0))), e, t, m
             )
             hi = loss_weight_sisdr(
-                e, t, m, chunks, wcfg=WeightLossConfig(weights=(8.0, 5.0, 1.0, 1.0))
+                replace(SETUP, weight_cfg=WeightLossConfig(weights=(8.0, 5.0, 1.0, 1.0))), e, t, m
             )
             assert hi.value >= lo.value
 
@@ -259,9 +258,8 @@ class TestLossWeightSisdr:
         t = 1e-4 * np.ones(n)
         m = t + 1e-4
         e = 1e-4 * np.ones(n)
-        chunks = make_chunks(n, ChunkingConfig(16, 8), RATE)
         with pytest.raises(NoValidChunks):
-            loss_weight_sisdr(wav(e), wav(t), wav(m), chunks)
+            loss_weight_sisdr(SETUP, wav(e), wav(t), wav(m))
 
     def test_weight_ordering_enforced(self):
         with pytest.raises(ValueError) as exc:
@@ -282,12 +280,12 @@ class TestLossWeightSisdr:
 
 class TestGradientCheckHarness:
     def test_weight_checks_the_plain_fallback_when_no_chunk_is_valid(self):
-        e, t, m, chunks = random_instance(7)
+        e, t, m, _ = random_instance(7)
         quiet_gate = ActivityConfig(eta_db=60.0)  # above every chunk of these signals
-        with pytest.raises(NoValidChunks):
-            loss_weight_sisdr(e, t, m, chunks, quiet_gate)
-        step = FD_STEP[LossKind.PLAIN]
         setup = LossSetup(LossKind.WEIGHT, chunking=CHUNKING, activity=quiet_gate)
+        with pytest.raises(NoValidChunks):
+            loss_weight_sisdr(setup, e, t, m)
+        step = FD_STEP[LossKind.PLAIN]
         err = gradient_check(setup, e, t, m, fd_step=step)
         assert err < 1e-5
         plain = replace(setup, loss_kind=LossKind.PLAIN)

@@ -319,14 +319,12 @@ class TestDistributionReport:
 
     @staticmethod
     def with_counts(n_sc, n_valid):
+        """n_valid chunks, the first n_sc of them confused (class 0), the rest in class 2."""
+        n_ok = n_valid - n_sc
         return ScStatistics(
-            chunk_sisdri=np.zeros(n_valid),
-            n_sc=n_sc,
-            n_valid=n_valid,
-            r_scr=100.0 * n_sc / n_valid if n_valid else 0.0,
-            class_freq=(n_sc, 0, n_valid - n_sc, 0),
-            class_sum=(0.0, 0.0, 0.0, 0.0),
-            degenerate=n_valid == 0,
+            chunk_sisdri=np.array([-10.0] * n_sc + [1.0] * n_ok),
+            class_freq=(n_sc, 0, n_ok, 0),
+            class_sum=(-10.0 * n_sc, 0.0, float(n_ok), 0.0),
         )
 
     def test_r_scr_pools_counts_not_ratios(self):
@@ -347,12 +345,7 @@ class TestDistributionReport:
     def test_degenerate_utterances_contribute_nothing(self):
         s = self.stats_for(31)
         empty = ScStatistics(
-            chunk_sisdri=np.array([]),
-            n_sc=0,
-            n_valid=0,
-            r_scr=0.0,
-            class_freq=(0, 0, 0, 0),
-            class_sum=(0.0, 0.0, 0.0, 0.0),
-            degenerate=True,
+            chunk_sisdri=np.array([]), class_freq=(0, 0, 0, 0), class_sum=(0.0, 0.0, 0.0, 0.0)
         )
+        assert empty.degenerate and empty.n_valid == 0 and empty.n_sc == 0 and empty.r_scr == 0.0
         assert distribution_report([s, empty]).class_freq == s.class_freq
