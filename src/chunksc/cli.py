@@ -3,8 +3,11 @@ toy training and loss-scheme comparison.
 
 Exit codes: 0 success, 1 a fine-tune process that could not be forked, or a
 fine-tune or worker process that ended without a result, 2 input error, 3
-numerical divergence. Config precedence is flags > config file > defaults;
-the effective config is echoed as a comment header into every output file.
+numerical divergence. Config precedence is flags > config file > defaults.
+The effective config is echoed into the `eval` and `distribution` reports
+(a `# config:` header in CSV, a `config` object in JSON) and as a `# config:`
+header into `train`'s `history.csv` and `compare`'s `comparison.csv`;
+checkpoints and `compare`'s `<loss>_history.csv` files carry none.
 
 Processes: `eval` and `distribution` run in one, which reads every manifest
 row into one sample buffer per role (see `_evaluate_manifest`). In `train`

@@ -33,6 +33,16 @@ FRAME_SIZE = 64
 FEAT_DIM = 64
 HIDDEN_DIM = 64
 STATS_DIM = FRAME_SIZE // 2 + 1
+# The shape of each parameter array: the one size of the extractor.
+_SHAPES = {
+    "encoder": (FRAME_SIZE, FEAT_DIM),
+    "spk_encoder": (STATS_DIM, FEAT_DIM),
+    "mask_w1": (FEAT_DIM, HIDDEN_DIM),
+    "mask_b1": (HIDDEN_DIM,),
+    "mask_w2": (HIDDEN_DIM, FEAT_DIM),
+    "mask_b2": (FEAT_DIM,),
+    "decoder": (FEAT_DIM, FRAME_SIZE),
+}
 _NORM_EPS = 1e-8
 # Validation epochs without a new best SI-SDRi before the learning rate halves.
 LR_HALVING_PATIENCE = 2
@@ -40,15 +50,16 @@ LR_HALVING_PATIENCE = 2
 
 @dataclass
 class ToyExtractorParams:
-    """All trainable parameters of the toy extractor."""
+    """All trainable parameters of the toy extractor, of the shapes in
+    `_SHAPES`."""
 
-    encoder: np.ndarray  # (F, D)
-    spk_encoder: np.ndarray  # (S, D)
-    mask_w1: np.ndarray  # (D, H)
-    mask_b1: np.ndarray  # (H,)
-    mask_w2: np.ndarray  # (H, D)
-    mask_b2: np.ndarray  # (D,)
-    decoder: np.ndarray  # (D, F)
+    encoder: np.ndarray
+    spk_encoder: np.ndarray
+    mask_w1: np.ndarray
+    mask_b1: np.ndarray
+    mask_w2: np.ndarray
+    mask_b2: np.ndarray
+    decoder: np.ndarray
 
     def copy(self) -> "ToyExtractorParams":
         """A copy, in arrays of `shared_zeros`."""
@@ -78,14 +89,14 @@ def init_params(seed: int) -> ToyExtractorParams:
     a_frame = 1.0 / math.sqrt(FRAME_SIZE)
     a_feat = 1.0 / math.sqrt(FEAT_DIM)
     a_stats = 1.0 / math.sqrt(STATS_DIM)
-    basis, _ = np.linalg.qr(rng.uniform(-a_frame, a_frame, size=(FRAME_SIZE, FEAT_DIM)))
+    basis, _ = np.linalg.qr(rng.uniform(-a_frame, a_frame, size=_SHAPES["encoder"]))
     params = ToyExtractorParams(
         encoder=basis,
-        spk_encoder=rng.uniform(-a_stats, a_stats, size=(STATS_DIM, FEAT_DIM)),
-        mask_w1=0.5 * rng.uniform(-a_feat, a_feat, size=(FEAT_DIM, HIDDEN_DIM)),
-        mask_b1=np.zeros(HIDDEN_DIM),
-        mask_w2=0.5 * rng.uniform(-a_feat, a_feat, size=(HIDDEN_DIM, FEAT_DIM)),
-        mask_b2=np.zeros(FEAT_DIM),
+        spk_encoder=rng.uniform(-a_stats, a_stats, size=_SHAPES["spk_encoder"]),
+        mask_w1=0.5 * rng.uniform(-a_feat, a_feat, size=_SHAPES["mask_w1"]),
+        mask_b1=np.zeros(_SHAPES["mask_b1"]),
+        mask_w2=0.5 * rng.uniform(-a_feat, a_feat, size=_SHAPES["mask_w2"]),
+        mask_b2=np.zeros(_SHAPES["mask_b2"]),
         decoder=basis.T.copy(),
     )
     assert params.count() <= 50_000
@@ -93,51 +104,39 @@ def init_params(seed: int) -> ToyExtractorParams:
 
 
 def _check_shapes(p: ToyExtractorParams):
-    f, d = p.encoder.shape
-    if p.decoder.shape != (d, f):
-        raise DimensionMismatch("decoder shape does not mirror encoder")
-    if p.spk_encoder.shape[1] != d:
-        raise DimensionMismatch("spk_encoder output dim must match feature dim")
-    h = p.mask_w1.shape[1]
-    if (
-        p.mask_w1.shape[0] != d
-        or p.mask_b1.shape != (h,)
-        or p.mask_w2.shape != (h, d)
-        or p.mask_b2.shape != (d,)
-    ):
-        raise DimensionMismatch("mask network shapes are inconsistent")
+    """Raise DimensionMismatch unless each array has its shape in `_SHAPES`."""
+    for name, shape in _SHAPES.items():
+        if getattr(p, name).shape != shape:
+            raise DimensionMismatch(f"{name} has shape {getattr(p, name).shape}, not {shape}")
 
 
-def enrollment_stats(enrollment: Waveform, frame_size: int = FRAME_SIZE) -> np.ndarray:
+def enrollment_stats(enrollment: Waveform) -> np.ndarray:
     """Unit-norm mean magnitude spectrum over enrollment frames.
 
     Constant with respect to the trainable parameters; speaker identity shows
     up as the harmonic comb of the enrollment signal.
     """
-    if len(enrollment) < frame_size:
-        raise ValueError(f"enrollment has {len(enrollment)} samples, fewer than one {frame_size}-sample frame")
-    n = (len(enrollment) // frame_size) * frame_size
-    frames = enrollment.samples[:n].reshape(-1, frame_size)
+    if len(enrollment) < FRAME_SIZE:
+        raise ValueError(f"enrollment has {len(enrollment)} samples, fewer than one {FRAME_SIZE}-sample frame")
+    n = (len(enrollment) // FRAME_SIZE) * FRAME_SIZE
+    frames = enrollment.samples[:n].reshape(-1, FRAME_SIZE)
     mag = np.abs(np.fft.rfft(frames, axis=1)).mean(axis=0)
     norm = np.linalg.norm(mag)
     return mag / norm if norm > 0 else mag
 
 
-def _frame(x: np.ndarray, frame_size: int) -> np.ndarray:
-    """Zero-pad to a frame multiple and reshape to (n_frames, frame_size)."""
-    pad = (-len(x)) % frame_size
+def _frame(x: np.ndarray) -> np.ndarray:
+    """Zero-pad to a frame multiple and reshape to (n_frames, FRAME_SIZE)."""
+    pad = (-len(x)) % FRAME_SIZE
     if pad:
         x = np.concatenate([x, np.zeros(pad)])
-    return x.reshape(-1, frame_size)
+    return x.reshape(-1, FRAME_SIZE)
 
 
 def _forward_cache(p: ToyExtractorParams, mixture: Waveform, enrollment: Waveform):
     _check_shapes(p)
-    frame_size = p.encoder.shape[0]
-    x = _frame(mixture.samples, frame_size)
-    stats = enrollment_stats(enrollment, frame_size)
-    if stats.shape[0] != p.spk_encoder.shape[0]:
-        raise DimensionMismatch("spk_encoder input dim must match stats dim")
+    x = _frame(mixture.samples)
+    stats = enrollment_stats(enrollment)
     z = x @ p.encoder
     cond = stats @ p.spk_encoder
     q = (z * cond) ** 2
@@ -176,11 +175,9 @@ def backward(
     x, stats, z, cond, q, mu, qn, h, mask, zm = cache
     result = evaluate_loss(Waveform(est, example.mixture.sample_rate), example, setup)
 
-    frame_size = p.encoder.shape[0]
-    feat_dim = q.shape[1]
     g = np.zeros(x.size)
     g[: len(example.mixture)] = result.grad_estimate
-    dy = g.reshape(-1, frame_size)
+    dy = g.reshape(-1, FRAME_SIZE)
 
     d_decoder = zm.T @ dy
     dzm = dy @ p.decoder.T
@@ -195,7 +192,7 @@ def backward(
     d_b1 = da1.sum(axis=0)
     dqn = da1 @ p.mask_w1.T
     dq = dqn / (mu + _NORM_EPS) - (dqn * q).sum(axis=1, keepdims=True) / (
-        feat_dim * (mu + _NORM_EPS) ** 2
+        FEAT_DIM * (mu + _NORM_EPS) ** 2
     )
     dzc = 2.0 * dq * z * cond
     dz += dzc * cond
@@ -414,7 +411,7 @@ def load_checkpoint(path: str) -> ToyExtractorParams:
     """The parameters of a JSON checkpoint that `save_checkpoint` wrote, as
     `train` and `compare` write them. Raises ValueError naming `path` for a
     file of another format, a missing array, data that does not fill its
-    shape, or shapes that do not fit together."""
+    shape, or an array whose shape is not the one in `_SHAPES`."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != "chunksc-params-v1":

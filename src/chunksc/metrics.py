@@ -186,8 +186,11 @@ def si_sdr_improvement(
 
 
 def _check_alike(waves: dict[str, Waveform], n_samples: int, whose: str):
-    """Every named waveform has n_samples samples, `whose` count (the
-    target's or the grid's), and all share one sample rate."""
+    """Every named waveform is given, has n_samples samples, `whose` count
+    (the target's or the grid's), and all share one sample rate."""
+    for name, w in waves.items():
+        if w is None:
+            raise TypeError(f"no {name} given")
     if any(len(w) != n_samples for w in waves.values()):
         counts = ", ".join(f"{name} {len(w)}" for name, w in waves.items())
         raise LengthMismatch(f"sample counts differ: {counts}; expected {whose} {n_samples}")

@@ -57,19 +57,15 @@ class MixtureExample:
 
 
 def render_utterance(
-    spk: SyntheticSpeaker,
-    duration_s: float,
-    sample_rate: int,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
+    spk: SyntheticSpeaker, sample_rate: int, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
-    """One random draw from a speaker: harmonic stack under an AM envelope,
-    written into `out` when given.
+    """One random draw from a speaker, a harmonic stack under an AM envelope,
+    written into `out`, which holds as many samples as the draw.
 
     Each draw randomizes phases, AM phase and a small fundamental jitter, so
     two draws from the same speaker differ while staying identifiable.
     """
-    n = int(round(duration_s * sample_rate))
+    n = out.size
     t = np.arange(n) / sample_rate
     f0 = spk.fundamental_hz * (1.0 + 0.02 * rng.uniform(-1.0, 1.0))
     sig = np.zeros(n)
@@ -105,8 +101,7 @@ def gen_example(
         raise SameSpeaker(f"target and interferer share speaker id {spk_a.id}")
     signals = np.zeros((3, n_samples(duration_s, sample_rate)))
     enrollment = np.zeros(n_samples(ENROLLMENT_SECONDS, sample_rate))
-    _render_examples(duration_s, sample_rate, signals[None], enrollment[None],
-                     [(0, spk_a, spk_b, snr_db, seed)])
+    _render_examples(sample_rate, signals[None], enrollment[None], [(0, spk_a, spk_b, snr_db, seed)])
     return _example(signals, enrollment, sample_rate, spk_a.id)
 
 
@@ -128,18 +123,19 @@ def check_corpus_size(n_examples: int):
         raise InvalidSetting("n_examples", n_examples, "must be at least 1")
 
 
-def _render_examples(duration_s, sample_rate, signals, enrollments, draws):
+def _render_examples(sample_rate, signals, enrollments, draws):
     """Render example j of each (j, spk_a, spk_b, snr_db, seed) draw into
     signals[j] (mixture, target and interferer rows) and enrollments[j]."""
     for j, spk_a, spk_b, snr_db, seed in draws:
         mixture, target, interferer = signals[j]
         rng = np.random.default_rng(seed)
-        render_utterance(spk_a, duration_s, sample_rate, rng, out=target)
-        raw = render_utterance(spk_b, duration_s, sample_rate, rng)
-        gain = np.sqrt(np.dot(target, target) / (np.dot(raw, raw) * 10.0 ** (snr_db / 10.0)))
-        np.multiply(gain, raw, out=interferer)
+        render_utterance(spk_a, sample_rate, rng, target)
+        render_utterance(spk_b, sample_rate, rng, interferer)
+        interferer *= np.sqrt(
+            np.dot(target, target) / (np.dot(interferer, interferer) * 10.0 ** (snr_db / 10.0))
+        )
         np.add(target, interferer, out=mixture)
-        render_utterance(spk_a, ENROLLMENT_SECONDS, sample_rate, rng, out=enrollments[j])
+        render_utterance(spk_a, sample_rate, rng, enrollments[j])
 
 
 def _example(signals, enrollment, sample_rate, target_id) -> MixtureExample:
@@ -170,7 +166,7 @@ def _thread_count() -> int:
     return 1 + worker_count()
 
 
-def _render_in_threads(duration_s, sample_rate, signals, enrollments, draws):
+def _render_in_threads(sample_rate, signals, enrollments, draws):
     """`_render_examples` over the blocks of `draws` that `_fork.split` makes
     for one thread per CPU, the first block on this thread. np.sin and the
     other whole-array ufuncs release the GIL, so the threads run at once.
@@ -181,7 +177,7 @@ def _render_in_threads(duration_s, sample_rate, signals, enrollments, draws):
 
     def render(k):
         try:
-            _render_examples(duration_s, sample_rate, signals, enrollments, blocks[k])
+            _render_examples(sample_rate, signals, enrollments, blocks[k])
         except Exception as exc:  # raised below, once every thread has ended
             errors[k] = exc
 
@@ -230,7 +226,7 @@ def make_corpus(
         draws.append((j, speakers[a], speakers[b], float(snr), int(rng.integers(0, 2**31))))
     signals = np.zeros((n_examples, 3, n))
     enrollments = np.zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
-    _render_in_threads(duration_s, sample_rate, signals, enrollments, draws)
+    _render_in_threads(sample_rate, signals, enrollments, draws)
     return [
         _example(signals[j], enrollments[j], sample_rate, spk_a.id)
         for j, spk_a, *_ in draws

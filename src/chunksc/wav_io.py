@@ -6,9 +6,10 @@ float, in a plain or a WAVE_FORMAT_EXTENSIBLE `fmt ` chunk. It refuses,
 naming the path, anything multi-channel, any other sample format (8-bit,
 24/32-bit PCM, big-endian RIFX, compressed), a file that is not a WAV, one
 without a `data` chunk, and one whose `data` chunk is cut short. It reads
-each file in one pass, parsing the header itself, and reads the data bytes
-straight into the memory of the float64 samples it returns, widening them
-there. The writer always emits 32-bit float.
+each file in one pass, parsing the header itself. Float64 data is read
+straight into the samples it returns, narrower data through one scratch
+block that is widened into them block by block. The writer always emits
+32-bit float.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _INT16, _FLOAT32, _FLOAT64 = np.dtype("<i2"), np.dtype("<f4"), np.dtype("<f8")
 # the last 12 bytes of a WAVE_FORMAT_EXTENSIBLE subformat GUID; its first 4
 # hold the format tag (RFC 2361)
 _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-# Samples widened to float64 per numpy call (see `_read_samples`).
+# Samples read and widened to float64 at a time (see `_read_samples`).
 _WIDEN_BLOCK = 1 << 16
 # RIFF, an 18-byte `fmt ` chunk, a `fact` chunk and the `data` chunk header:
 # the float32 header scipy.io.wavfile.write writes
@@ -104,31 +105,26 @@ def _read_samples(fh, dtype: np.dtype, samples: np.ndarray) -> None:
     """Read len(samples) samples of `dtype` from `fh` into `samples`, as
     float64, with no temporary the size of the data.
 
-    The n samples of width w bytes are read into the top n*w bytes of the
-    8n-byte buffer, so sample j of the file starts at byte (8-w)*n + w*j.
-    Widened, sample i takes bytes [8*i, 8*i + 8), which hold only file
-    samples j with (8-w)*n + w*j < 8*i + 8, that is j <= i (as i < n). So
-    widening front to back never overwrites a sample it has yet to read.
-    It runs in blocks of B = _WIDEN_BLOCK samples because numpy copies a
-    ufunc input that overlaps the output: block [lo, lo+B) overlaps its own
-    source only when lo > n - 8*B/(8-w), in the last one or two blocks, so
-    a call copies at most B*w bytes. np.copyto, for float input, copies no
-    1-D input and casts front to back. PCM16 is divided by 32768.0 and
-    float is cast, so the samples equal those of the same calls on a
-    separate copy of the data, bit for bit.
+    Float64 is read in place. PCM16 and float32 are read through one scratch
+    block of at most `_WIDEN_BLOCK` samples, and each block is widened into
+    its samples: PCM16 divided by 32768.0, float32 cast.
     """
-    source = samples.view(dtype)[(8 // dtype.itemsize - 1) * samples.size:]
-    got = fh.readinto(source)
-    if got < source.nbytes:
-        raise ValueError(f"data chunk cut short: {got} of {source.nbytes} bytes")
-    if dtype == samples.dtype:  # little-endian float64 is already in place
-        return
-    for lo in range(0, samples.size, _WIDEN_BLOCK):
-        hi = lo + _WIDEN_BLOCK
-        if dtype is _INT16:
-            np.divide(source[lo:hi], 32768.0, out=samples[lo:hi])
-        else:
-            np.copyto(samples[lo:hi], source[lo:hi])
+    n_bytes = samples.size * dtype.itemsize
+    if dtype == samples.dtype:  # little-endian float64
+        got = fh.readinto(samples)
+    else:
+        block, got = np.empty(min(samples.size, _WIDEN_BLOCK), dtype), 0
+        for lo in range(0, samples.size, _WIDEN_BLOCK):
+            part = block[: samples.size - lo]
+            got += fh.readinto(part)
+            if got < (lo + part.size) * dtype.itemsize:
+                break
+            if dtype is _INT16:
+                np.divide(part, 32768.0, out=samples[lo : lo + part.size])
+            else:
+                np.copyto(samples[lo : lo + part.size], part)
+    if got < n_bytes:
+        raise ValueError(f"data chunk cut short: {got} of {n_bytes} bytes")
 
 
 def _chunk_header(fh) -> tuple[bytes, int]:

@@ -551,7 +551,9 @@ class TestSerialization:
         for f in dataclasses.fields(ToyExtractorParams):
             assert getattr(q, f.name).tobytes() == getattr(p, f.name).tobytes(), f.name
 
-    @pytest.mark.parametrize("case", ["other-format", "missing-array", "bad-shape", "shapes-disagree"])
+    @pytest.mark.parametrize(
+        "case", ["other-format", "missing-array", "bad-shape", "shapes-disagree", "other-size"]
+    )
     def test_checkpoint_format_guard(self, tmp_path, case):
         payload = json.loads(checkpoint_text(init_params(4)))
         arrays = payload["arrays"]
@@ -561,8 +563,13 @@ class TestSerialization:
             del arrays["mask_b1"]
         elif case == "bad-shape":  # 64 values cannot fill it
             arrays["mask_b1"]["shape"] = [65]
-        else:  # a bias of 32 for mask_w1's 64 hidden units
+        elif case == "shapes-disagree":  # a bias of 32 for mask_w1's 64 hidden units
             arrays["mask_b1"] = {"shape": [32], "data": [0.0] * 32}
+        else:  # 32 features throughout: the arrays fit together, but not the extractor
+            shapes = {"encoder": [64, 32], "spk_encoder": [33, 32], "mask_w1": [32, 64],
+                      "mask_b1": [64], "mask_w2": [64, 32], "mask_b2": [32], "decoder": [32, 64]}
+            for name, shape in shapes.items():
+                arrays[name] = {"shape": shape, "data": [0.0] * math.prod(shape)}
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):

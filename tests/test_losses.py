@@ -20,6 +20,7 @@ from chunksc import (
     sc_statistics,
     si_sdr,
 )
+from chunksc.losses import compute_loss
 
 RATE = 8000
 
@@ -302,3 +303,13 @@ class TestGradientCheckHarness:
         t = rng.normal(size=32)
         with pytest.raises(ValueError):
             gradient_check(LossSetup(LossKind.PLAIN), wav(t), wav(t), fd_step=0.0)
+
+
+@pytest.mark.parametrize("call", ["scale", "weight", "sc_statistics"])
+def test_a_missing_mixture_is_named(call):
+    e, t, _, chunks = random_instance(10)
+    with pytest.raises(TypeError, match="^no mixture given$"):
+        if call == "sc_statistics":
+            sc_statistics(e, t, None, chunks)
+        else:
+            compute_loss(LossSetup(LossKind(call), chunking=CHUNKING), e, t, mixture=None)

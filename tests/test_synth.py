@@ -31,20 +31,20 @@ class TestMakeSpeakers:
 class TestRenderUtterance:
     def test_rms_normalized(self, speakers):
         rng = np.random.default_rng(1)
-        x = render_utterance(speakers[0], 2.0, DEFAULT_SAMPLE_RATE, rng)
+        x = render_utterance(speakers[0], DEFAULT_SAMPLE_RATE, rng, np.zeros(16000))
         assert np.sqrt(np.mean(x**2)) == pytest.approx(0.25, rel=1e-9)
 
     def test_draws_differ(self, speakers):
         rng = np.random.default_rng(2)
-        a = render_utterance(speakers[0], 1.0, DEFAULT_SAMPLE_RATE, rng)
-        b = render_utterance(speakers[0], 1.0, DEFAULT_SAMPLE_RATE, rng)
+        a = render_utterance(speakers[0], DEFAULT_SAMPLE_RATE, rng, np.zeros(8000))
+        b = render_utterance(speakers[0], DEFAULT_SAMPLE_RATE, rng, np.zeros(8000))
         assert not np.allclose(a, b)
 
     def test_has_quiet_stretches(self, speakers):
         # The squared raised-sine envelope must produce near-silent spans so
         # the activity filter has something to reject.
         rng = np.random.default_rng(3)
-        x = render_utterance(speakers[0], 2.0, DEFAULT_SAMPLE_RATE, rng)
+        x = render_utterance(speakers[0], DEFAULT_SAMPLE_RATE, rng, np.zeros(16000))
         frame_rms = np.sqrt(np.mean(x[: 16000 // 50 * 50].reshape(50, -1) ** 2, axis=1))
         assert frame_rms.min() < 0.05 * frame_rms.max()
 
@@ -146,9 +146,9 @@ class TestRenderThreads:
         one call may come in any order."""
         seen, real_render = [], synth._render_examples
 
-        def recorded(duration_s, sample_rate, signals, enrollments, draws):
+        def recorded(sample_rate, signals, enrollments, draws):
             seen.append((threading.current_thread().name, [j for j, *_ in draws]))
-            return real_render(duration_s, sample_rate, signals, enrollments, draws)
+            return real_render(sample_rate, signals, enrollments, draws)
 
         monkeypatch.setattr(synth, "_render_examples", recorded)
         return seen
@@ -208,14 +208,14 @@ class TestRenderThreads:
     ):
         real_render = synth._render_examples
 
-        def blocks_1_and_2_fail(duration_s, sample_rate, signals, enrollments, draws):
+        def blocks_1_and_2_fail(sample_rate, signals, enrollments, draws):
             first = draws[0][0]
             if first == 2:
                 time.sleep(0.2)  # block 2 fails first
                 raise RuntimeError("block 1 failed")
             if first == 4:
                 raise RuntimeError("block 2 failed")
-            return real_render(duration_s, sample_rate, signals, enrollments, draws)
+            return real_render(sample_rate, signals, enrollments, draws)
 
         monkeypatch.setattr(synth, "_thread_count", lambda: 3)
         monkeypatch.setattr(synth, "_render_examples", blocks_1_and_2_fail)

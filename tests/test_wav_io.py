@@ -134,8 +134,9 @@ ACCEPTED = [
     "kind, dtype", ACCEPTED, ids=[f"{k}-{np.dtype(d).name}" for k, d in ACCEPTED]
 )
 def test_accepts_what_scipy_accepts_with_equal_samples(tmp_path, kind, dtype):
-    # lengths around the block that read_wav widens samples in, whose last
-    # blocks overlap their own bytes; `out` absent, long enough, too short
+    # lengths around the scratch block that read_wav reads and widens samples
+    # through, so the last block is partly filled; `out` absent, long enough,
+    # too short
     path = str(tmp_path / "x.wav")
     for n in (999, B - 1, B, B + 1, 2 * B + 1):
         if kind == "scipy":
