@@ -10,9 +10,9 @@ from contextlib import contextmanager
 def _openblas_controls() -> tuple:
     """The (get, set) thread-count functions of every OpenBLAS loaded into
     this process. They are found again only after a module was imported
-    (scipy loads its OpenBLAS with scipy.special), since reading
-    /proc/self/maps costs a hundred times a pin. A forked process inherits
-    what was found."""
+    (chunksc needs only numpy's, but a caller that imports, say,
+    scipy.special loads scipy's too), since reading /proc/self/maps costs a
+    hundred times a pin. A forked process inherits what was found."""
     return _find_openblas(len(sys.modules))
 
 
@@ -38,9 +38,10 @@ def _find_openblas(_modules_loaded: int) -> tuple:
 
 @contextmanager
 def one_blas_thread():
-    """Hold every loaded OpenBLAS (numpy and scipy each load one) to one
-    thread, and give each its thread count back on exit. The count changes
-    the last bits of a matmul, and of a dot product of over 10,000 samples.
+    """Hold every loaded OpenBLAS (numpy's, and scipy's if the caller
+    imported scipy's linear algebra or special functions) to one thread,
+    and give each its thread count back on exit. The count changes the
+    last bits of a matmul, and of a dot product of over 10,000 samples.
     Does nothing with another BLAS, or without /proc/self/maps."""
     restore = []
     for get, set_ in _openblas_controls():

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from ._blas import one_blas_thread
 from ._fork import Workers, shared_zeros
@@ -46,6 +45,14 @@ _SHAPES = {
 _NORM_EPS = 1e-8
 # Validation epochs without a new best SI-SDRi before the learning rate halves.
 LR_HALVING_PATIENCE = 2
+
+
+def expit(a: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + e^-a), elementwise. Where e^-a
+    overflows, the result is exactly 0, as at large positive `a` it is
+    exactly 1."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
 
 
 @dataclass

@@ -23,7 +23,7 @@ ENERGY_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Waveform:
-    """A finite mono signal: float64 samples plus a sample rate in Hz."""
+    """A finite mono signal: float64 samples plus a sample rate in whole Hz."""
 
     samples: np.ndarray
     sample_rate: int
@@ -34,9 +34,14 @@ class Waveform:
             raise ValueError("samples must be a non-empty 1-D sequence")
         if not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        try:
+            rate = operator.index(self.sample_rate)  # an int or a numpy integer
+        except TypeError:
+            rate = 0  # refused below
+        if rate <= 0:
+            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.size

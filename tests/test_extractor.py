@@ -5,9 +5,11 @@ import json
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from chunksc import (
     ActivityConfig,
@@ -142,7 +144,9 @@ class TestForward:
         p = init_params(0)
         p.mask_b2 = np.full(64, -800.0)
         p.mask_w2 = np.zeros_like(p.mask_w2)
-        est = forward(p, EXAMPLE.mixture, EXAMPLE.enrollment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = forward(p, EXAMPLE.mixture, EXAMPLE.enrollment)
         assert np.max(np.abs(est.samples)) < 1e-6
 
     def test_handles_non_frame_multiple_length(self):
@@ -150,6 +154,19 @@ class TestForward:
         mix = Waveform(EXAMPLE.mixture.samples[:1000], EXAMPLE.mixture.sample_rate)
         est = forward(p, mix, EXAMPLE.enrollment)
         assert len(est) == 1000
+
+
+class TestSigmoid:
+    def test_matches_scipy_expit(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                            [0.0, -0.0, 1e-300, -1e-300, 745.2, -745.2]])
+        np.testing.assert_allclose(extractor.expit(x), scipy.special.expit(x), rtol=1e-15, atol=1e-300)
+
+    def test_saturates_to_exactly_0_and_1_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = extractor.expit(np.array([-800.0, -745.2, 745.2, 800.0]))
+        assert got.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def loud_params(seed):

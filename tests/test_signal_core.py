@@ -234,6 +234,18 @@ class TestWaveform:
         with pytest.raises(ValueError):
             Waveform(np.ones(4), 0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), 8000.0])
+    def test_rejects_a_rate_that_is_not_an_integer(self, rate):
+        # a WAV header holds only a whole number of Hz
+        with pytest.raises(ValueError, match=f"sample_rate must be a positive integer, got {rate}$"):
+            Waveform(np.ones(4), rate)
+
+    @pytest.mark.parametrize("rate", [np.int16(8000), np.int64(8000), np.uint32(8000)],
+                             ids=["int16", "int64", "uint32"])
+    def test_takes_a_numpy_integer_rate_as_an_int(self, rate):
+        w = Waveform(np.ones(4), rate)
+        assert w.sample_rate == 8000 and type(w.sample_rate) is int
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_samples(self, bad):
         x = np.ones(16)

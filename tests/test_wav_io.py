@@ -288,12 +288,31 @@ def test_refuses_to_write_more_than_a_riff_size_holds(tmp_path):
     assert not path.exists()
 
 
-def test_importing_the_package_and_cli_loads_no_scipy_io():
+def scipy_modules_after(script, *args):
+    """The list of scipy modules that a fresh `python -c script args`, with
+    chunksc on its path, has loaded when the script ends, as printed."""
     src = os.path.dirname(os.path.dirname(chunksc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = ("import sys, chunksc, chunksc.cli; "
-              "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))")
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    script += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout == "[]\n"
+    return run.stdout.splitlines()[-1]
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_io():
+    # nor any other scipy module: the package runs on numpy alone
+    assert scipy_modules_after("import sys, chunksc, chunksc.cli") == "[]"
+
+
+def test_an_eval_run_loads_no_scipy(tmp_path):
+    rng = np.random.default_rng(0)
+    paths = [str(tmp_path / f"{name}.wav") for name in ("est", "tgt", "mix")]
+    for path in paths:
+        write_wav(path, Waveform(rng.uniform(-0.5, 0.5, size=4000), 8000))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(",".join(paths) + "\n")
+    out = tmp_path / "report.csv"
+    script = "import sys; from chunksc.cli import main; assert main(sys.argv[1:]) == 0"
+    assert scipy_modules_after(script, "eval", "--manifest", str(manifest), "--out", str(out)) == "[]"
+    assert out.exists()
