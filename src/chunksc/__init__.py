@@ -38,7 +38,6 @@ from .metrics import (
 from .signal_core import (
     ActivityConfig,
     ChunkGrid,
-    ChunkIndex,
     ChunkingConfig,
     Waveform,
     make_chunks,

@@ -334,7 +334,7 @@ def train(
     history: list[HistoryRow] = []
     if cfg.epochs == 0:
         return params, history
-    slots = params.zeros(cfg.batch)
+    slots = params.zeros(min(cfg.batch, len(corpus)))  # no batch holds more
     pool = Workers(workers, params, corpus, validation, setup, slots)
 
     rng = np.random.default_rng(cfg.seed)
@@ -417,21 +417,24 @@ def save_checkpoint(path: str, p: ToyExtractorParams | str) -> None:
 def load_checkpoint(path: str) -> ToyExtractorParams:
     """The parameters of a JSON checkpoint that `save_checkpoint` wrote, as
     `train` and `compare` write them. Raises ValueError naming `path` for a
-    file of another format, a missing array, data that does not fill its
-    shape, or an array whose shape is not the one in `_SHAPES`."""
+    file of another format, a missing array, data that are not all finite
+    numbers (JSON booleans, strings, null, NaN or infinities) or do not fill
+    their shape, or an array whose shape is not the one in `_SHAPES`."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != "chunksc-params-v1":
         raise ValueError(f"{path}: not a chunksc checkpoint")
     try:
-        specs = payload["arrays"]
-        params = ToyExtractorParams(**{
-            f.name: np.asarray(specs[f.name]["data"]).reshape(specs[f.name]["shape"])
-            for f in fields(ToyExtractorParams)
-        })
+        specs, arrays = payload["arrays"], {}
+        for name in _SHAPES:
+            data = specs[name]["data"]  # JSON numbers, of which booleans are none
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in data):
+                raise ValueError(f"{name} holds data that are not all finite numbers")
+            arrays[name] = np.array(data, dtype=np.float64).reshape(specs[name]["shape"])
+        params = ToyExtractorParams(**arrays)
         _check_shapes(params)
     except KeyError as exc:
         raise ValueError(f"{path}: the checkpoint has no {exc}") from None
-    except (TypeError, ValueError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return params

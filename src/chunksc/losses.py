@@ -174,7 +174,7 @@ def loss_weight_sisdr(
     )
     return LossResult(
         value=-float(np.sum(weights * values)) / n_valid,
-        grad_estimate=scores.grid.overlap_add(rows),
+        grad_estimate=chunks.overlap_add(rows),
         branch=branch,
     )
 

@@ -203,7 +203,6 @@ def _check_alike(waves: dict[str, Waveform], n_samples: int, whose: str):
 class _ChunkScores:
     """Kernel output for every chunk of one utterance."""
 
-    grid: ChunkGrid
     sisdri: np.ndarray  # SI-SDR(e_k, t_k) - SI-SDR(e_k, y_k); NaN if t_k or y_k is silent
     valid: np.ndarray  # the chunks that count, from the activity rule
     to_target: _Rows
@@ -230,7 +229,7 @@ def _score_chunks(
     valid = active_mask(
         to_target.ref_energy, np.vecdot(e, e), activity, to_mixture.ref_energy, _EPS
     )
-    return _ChunkScores(grid, to_target.value - to_mixture.value, valid, to_target, to_mixture)
+    return _ChunkScores(to_target.value - to_mixture.value, valid, to_target, to_mixture)
 
 
 def chunkwise_sisdri(

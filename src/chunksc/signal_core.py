@@ -9,6 +9,7 @@ activity rule: the metric and loss kernels decide through it.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -72,21 +73,6 @@ class ChunkingConfig:
 
 
 @dataclass(frozen=True)
-class ChunkIndex:
-    """Half-open sample range [start, end)."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"invalid chunk range [{self.start}, {self.end})")
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
 class ActivityConfig:
     """Energy threshold (dB) a chunk must exceed to count as speech-active.
 
@@ -120,11 +106,10 @@ def _samples(cfg: ChunkingConfig, field: str, sample_rate: int) -> int:
 def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> ChunkGrid:
     """Segment [0, n_samples) into chunks of length L with hop O.
 
-    Returns the ChunkGrid of exactly ceil((T-L)/O + 1) chunks, which the
-    chunk-level metrics and losses take. Starts advance by exactly the
-    hop; the last chunk is truncated at the signal end (never zero-padded, so
-    energy statistics stay honest). A chunk longer than the signal raises
-    ChunkLenExceedsSignal.
+    Returns ChunkGrid(hop, length, n_samples), the settings in samples,
+    which the chunk-level metrics and losses take. A chunk longer than the
+    signal raises ChunkLenExceedsSignal, and a setting under 1 sample
+    InvalidSetting (InvalidHop for the hop).
     """
     chunk_len = _samples(cfg, "chunk_len_ms", sample_rate)
     if chunk_len > n_samples:
@@ -132,36 +117,40 @@ def make_chunks(n_samples: int, cfg: ChunkingConfig, sample_rate: int) -> ChunkG
                 f"more than the {n_samples} of the {{signal}}")
         raise ChunkLenExceedsSignal("chunk_len_ms", cfg.chunk_len_ms, rule)
     hop = _samples(cfg, "hop_ms", sample_rate)  # ChunkingConfig keeps it at most chunk_len
-    n_chunks = math.ceil((n_samples - chunk_len) / hop) + 1
-    return ChunkGrid(hop, chunk_len, n_chunks, n_samples)
+    return ChunkGrid(hop, chunk_len, n_samples)
 
 
 @dataclass(frozen=True)
 class ChunkGrid:
     """The chunks of an `n_samples` signal, as make_chunks lays them out:
     `count` chunks of `length` samples whose starts advance by `hop` from 0,
-    the last one cut off at the signal end.
+    the last one cut off at the signal end. `rows` gives the chunks of a
+    signal as one strided array.
 
-    Indexing and iteration give `ChunkIndex` ranges (a slice gives a list),
-    and `rows` gives the chunks of a signal as one strided array.
+    Only a grid that make_chunks can return is built: integers with
+    1 <= hop <= length <= n_samples, or ValueError.
     """
 
     hop: int
     length: int
-    count: int
     n_samples: int
+
+    def __post_init__(self):
+        sizes = (self.hop, self.length, self.n_samples)
+        if not (all(isinstance(v, numbers.Integral) for v in sizes)
+                and 1 <= self.hop <= self.length <= self.n_samples):
+            raise ValueError(
+                f"no chunk grid has hop {self.hop!r}, length {self.length!r} and n_samples "
+                f"{self.n_samples!r}: they must be integers with 1 <= hop <= length <= n_samples"
+            )
+
+    @property
+    def count(self) -> int:
+        """The first chunk, and one more per hop until a chunk reaches the signal end."""
+        return math.ceil((self.n_samples - self.length) / self.hop) + 1
 
     def __len__(self) -> int:
         return self.count
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(self.count))]
-        k = operator.index(k)
-        if not -self.count <= k < self.count:
-            raise IndexError(f"chunk {k} out of range for {self.count} chunks")
-        start = (k % self.count) * self.hop
-        return ChunkIndex(start, min(start + self.length, self.n_samples))
 
     def _span(self) -> int:
         return (self.count - 1) * self.hop + self.length
@@ -213,11 +202,11 @@ def active_mask(target_energy, estimate_energy, cfg: ActivityConfig, mixture_ene
     return mask
 
 
-def is_active(ws: Waveform, we: Waveform, idx: ChunkIndex, cfg: ActivityConfig) -> bool:
-    """`active_mask` on one chunk; unused in chunksc, kept while perfbench traces it."""
+def is_active(ws: Waveform, we: Waveform, start: int, end: int, cfg: ActivityConfig) -> bool:
+    """`active_mask` on samples [start, end); unused in chunksc, kept while perfbench traces it."""
     if len(ws) != len(we):
         raise LengthMismatch(f"waveforms differ in length: {len(ws)} vs {len(we)}")
-    if idx.end > len(ws):
-        raise ValueError("chunk index out of bounds")
-    x, y = ws.samples[idx.start:idx.end], we.samples[idx.start:idx.end]
+    if not 0 <= start < end <= len(ws):
+        raise ValueError(f"invalid chunk range [{start}, {end}) of {len(ws)} samples")
+    x, y = ws.samples[start:end], we.samples[start:end]
     return bool(active_mask(np.dot(x, x), np.dot(y, y), cfg))

@@ -165,11 +165,14 @@ def write_wav(path: str, w: Waveform) -> None:
     """Write a Waveform as a 32-bit float WAV, the same bytes as
     scipy.io.wavfile.write of its samples as float32: RIFF, an 18-byte `fmt `
     chunk, a `fact` chunk holding the sample count, then `data`. More data
-    than a RIFF size field holds (scipy writes RF64 there) is refused."""
+    than a RIFF size field holds (scipy writes RF64 there), or a rate whose
+    byte rate (4 bytes a sample) overflows its 32-bit field, is refused."""
     n = w.samples.size
     riff_size = _FLOAT_HEADER.size - 8 + 4 * n
     if riff_size > 0xFFFFFFFF:
         raise ValueError(f"{path}: {n} samples are too many for a 32-bit float WAV file")
+    if 4 * w.sample_rate > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {w.sample_rate} Hz is too high a rate for a 32-bit float WAV file")
     header = _FLOAT_HEADER.pack(
         b"RIFF", riff_size, b"WAVE", b"fmt ", 18, _IEEE_FLOAT, 1, w.sample_rate,
         4 * w.sample_rate, 4, 32, 0, b"fact", 4, n, b"data", 4 * n,

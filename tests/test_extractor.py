@@ -184,7 +184,8 @@ def plain_signature(est, ex, setup):
 
 def chunk_energies(w, chunks):
     """Sum of squares of w over each chunk."""
-    return np.array([np.dot(w.samples[c.start:c.end], w.samples[c.start:c.end]) for c in chunks])
+    rows = chunks.rows(w.samples)
+    return np.vecdot(rows, rows)
 
 
 def weight_signature(est, ex, setup):
@@ -569,7 +570,8 @@ class TestSerialization:
             assert getattr(q, f.name).tobytes() == getattr(p, f.name).tobytes(), f.name
 
     @pytest.mark.parametrize(
-        "case", ["other-format", "missing-array", "bad-shape", "shapes-disagree", "other-size"]
+        "case", ["other-format", "missing-array", "bad-shape", "shapes-disagree", "other-size",
+                 "strings", "booleans", "nulls", "nan"]
     )
     def test_checkpoint_format_guard(self, tmp_path, case):
         payload = json.loads(checkpoint_text(init_params(4)))
@@ -582,6 +584,9 @@ class TestSerialization:
             arrays["mask_b1"]["shape"] = [65]
         elif case == "shapes-disagree":  # a bias of 32 for mask_w1's 64 hidden units
             arrays["mask_b1"] = {"shape": [32], "data": [0.0] * 32}
+        elif case in ("strings", "booleans", "nulls", "nan"):  # data that are no finite numbers
+            arrays["mask_b1"]["data"][5] = {"strings": "0", "booleans": True, "nulls": None,
+                                            "nan": math.nan}[case]
         else:  # 32 features throughout: the arrays fit together, but not the extractor
             shapes = {"encoder": [64, 32], "spk_encoder": [33, 32], "mask_w1": [32, 64],
                       "mask_b1": [64], "mask_w2": [64, 32], "mask_b2": [32], "decoder": [32, 64]}
@@ -589,8 +594,10 @@ class TestSerialization:
                 arrays[name] = {"shape": shape, "data": [0.0] * math.prod(shape)}
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as exc:
             load_checkpoint(str(path))
+        if case in ("strings", "booleans", "nulls", "nan"):
+            assert str(exc.value) == f"{path}: mask_b1 holds data that are not all finite numbers"
 
     def test_history_csv_format(self):
         from chunksc.extractor import HistoryRow

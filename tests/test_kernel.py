@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from chunksc import (
     ActivityConfig,
     BinEdges,
-    ChunkIndex,
     ChunkingConfig,
     LengthMismatch,
     LossKind,
@@ -61,6 +60,13 @@ class LoopReference:
         return value, grad / (math.log(10.0) / 10.0)
 
     @staticmethod
+    def spans(chunks):
+        """[start, end) of every chunk: starts hop apart from 0, while the
+        chunk before ends short of the signal end; the last is cut off there."""
+        n, length, hop = chunks.n_samples, chunks.length, chunks.hop
+        return [(s, min(s + length, n)) for s in range(0, n - length + hop, hop)]
+
+    @staticmethod
     def energy_db(x):
         return 10.0 * math.log10(float(np.dot(x, x)) + ENERGY_FLOOR)
 
@@ -68,8 +74,8 @@ class LoopReference:
     def scores(cls, e, t, y, chunks, activity, cfg=CFG):
         """Per-chunk improvement (NaN on a silent target or mixture chunk) and validity."""
         values, valid = [], []
-        for idx in chunks:
-            ek, tk, yk = (x[idx.start:idx.end] for x in (e, t, y))
+        for start, end in cls.spans(chunks):
+            ek, tk, yk = (x[start:end] for x in (e, t, y))
             if np.dot(tk, tk) < _EPS or np.dot(yk, yk) < _EPS:
                 values.append(np.nan)
                 valid.append(False)
@@ -86,14 +92,14 @@ class LoopReference:
         n_valid = int(valid.sum())
         total = 0.0
         grad = np.zeros_like(e)
-        for idx, v, ok in zip(chunks, values, valid):
+        for (start, end), v, ok in zip(cls.spans(chunks), values, valid):
             if not ok:
                 continue
-            ek, tk, yk = (x[idx.start:idx.end] for x in (e, t, y))
+            ek, tk, yk = (x[start:end] for x in (e, t, y))
             w = weights[BINS.classify(float(v))]
             total += w * v
             g = cls.si_sdr_grad(ek, tk)[1] - cls.si_sdr_grad(ek, yk)[1]
-            grad[idx.start:idx.end] += -(w / n_valid) * g
+            grad[start:end] += -(w / n_valid) * g
         return -total / n_valid, grad
 
 
@@ -199,13 +205,14 @@ def test_zero_padding_the_last_chunk_is_exact(length, hop, extra, seed):
     # (and any number of appended zeros) must give the same bits.
     e, t = (rng.integers(-50, 51, size=n).astype(float) for _ in range(2))
     t[t == 0] = 1.0
-    last = chunks[-1]
+    last = slice(chunks.hop * (chunks.count - 1), n)
     padded = _si_sdr_rows(chunks.rows(e)[-1:], chunks.rows(t)[-1:], CFG)
-    alone = _si_sdr_rows(e[None, last.start:last.end], t[None, last.start:last.end], CFG)
+    alone = _si_sdr_rows(e[None, last], t[None, last], CFG)
     assert padded.ref_energy[0] == alone.ref_energy[0]
-    assert np.vecdot(chunks.rows(e)[-1], chunks.rows(t)[-1]) == np.dot(e[last.start:last.end], t[last.start:last.end])
+    assert np.vecdot(chunks.rows(e)[-1], chunks.rows(t)[-1]) == np.dot(e[last], t[last])
     assert abs(padded.value[0] - alone.value[0]) <= 1e-12
-    assert len(last) < length and not chunks.rows(e)[-1][len(last):].any()
+    cut = last.stop - last.start
+    assert cut < length and not chunks.rows(e)[-1][cut:].any()
 
 
 @PROPERTY
@@ -244,9 +251,9 @@ def test_silent_mixture_chunk_is_excluded_by_metric_and_loss():
 def test_irregular_chunk_lists_are_rejected():
     e, t, y = waves(*np.random.default_rng(12).normal(size=(3, 300)))
     for chunks in (
-        [ChunkIndex(0, 100), ChunkIndex(50, 150), ChunkIndex(120, 220)],  # uneven hop
-        [ChunkIndex(0, 100), ChunkIndex(100, 150), ChunkIndex(200, 300)],  # cut short mid-signal
-        [ChunkIndex(0, 100), ChunkIndex(200, 400)],  # past the end
+        [(0, 100), (50, 150), (120, 220)],  # uneven hop
+        [(0, 100), (100, 150), (200, 300)],  # cut short mid-signal
+        [(0, 100), (200, 400)],  # past the end
         [],
     ):
         with pytest.raises(ValueError):

@@ -180,8 +180,9 @@ class TestChunkwiseSisdri:
         m = t + rng.normal(size=8000)
         chunks = make_chunks(8000, ChunkingConfig(250, 125), RATE)
         vals = chunkwise_sisdri(wav(m), wav(t), wav(m), chunks)
-        for k, idx in enumerate(chunks):
-            want = oracle_si_sdr(m[idx.start:idx.end], t[idx.start:idx.end]) - 60.0
+        for k in range(len(chunks)):
+            idx = slice(chunks.hop * k, min(chunks.hop * k + chunks.length, 8000))
+            want = oracle_si_sdr(m[idx], t[idx]) - 60.0
             assert vals[k] == pytest.approx(want, abs=1e-9)
         assert (vals < 0).all()
 
@@ -200,10 +201,9 @@ class TestChunkwiseSisdri:
         e = t + 0.1 * rng.normal(size=2000)
         chunks = make_chunks(2000, ChunkingConfig(250, 250), RATE)
         vals = chunkwise_sisdri(wav(e), wav(t), wav(m), chunks)
-        for k, idx in enumerate(chunks):
-            want = oracle_si_sdr(e[idx.start:idx.end], t[idx.start:idx.end]) - oracle_si_sdr(
-                e[idx.start:idx.end], m[idx.start:idx.end]
-            )
+        for k in range(len(chunks)):
+            idx = slice(chunks.hop * k, min(chunks.hop * k + chunks.length, 2000))
+            want = oracle_si_sdr(e[idx], t[idx]) - oracle_si_sdr(e[idx], m[idx])
             assert vals[k] == pytest.approx(want, abs=1e-9)
 
     def test_silent_target_chunk_gets_nan(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from chunksc import (
     ActivityConfig,
+    ChunkGrid,
     ChunkLenExceedsSignal,
     ChunkingConfig,
     InvalidHop,
@@ -26,10 +29,15 @@ def naive_chunk_starts(n_samples, chunk_len, hop):
     return starts
 
 
-def chunk_energy(x, idx):
-    """Sum of squares of x over one chunk."""
-    chunk = np.asarray(x, dtype=float)[idx.start:idx.end]
+def chunk_energy(x, span):
+    """Sum of squares of x over one chunk, given as a slice."""
+    chunk = np.asarray(x, dtype=float)[span]
     return np.dot(chunk, chunk)
+
+
+def starts(grid):
+    """The chunk starts of a grid: hop * k for each of its chunks."""
+    return [grid.hop * k for k in range(grid.count)]
 
 
 class TestMakeChunks:
@@ -38,56 +46,39 @@ class TestMakeChunks:
         cfg = ChunkingConfig(chunk_len_ms=250, hop_ms=125)
         chunks = make_chunks(1000, cfg, 1000)
         assert len(chunks) == 7
-        assert [c.start for c in chunks] == [0, 125, 250, 375, 500, 625, 750]
+        assert starts(chunks) == [0, 125, 250, 375, 500, 625, 750]
 
     def test_single_chunk(self):
         cfg = ChunkingConfig(chunk_len_ms=250, hop_ms=100)
         chunks = make_chunks(250, cfg, 1000)
         assert len(chunks) == 1
-        assert (chunks[0].start, chunks[0].end) == (0, 250)
+        assert (chunks.hop, chunks.length, chunks.n_samples) == (100, 250, 250)
 
     def test_inference_mode_tiles_without_overlap(self):
         cfg = ChunkingConfig(chunk_len_ms=250, hop_ms=250)
         chunks = make_chunks(1000, cfg, 1000)
-        assert [c.start for c in chunks] == [0, 250, 500, 750]
+        assert starts(chunks) == [0, 250, 500, 750]
 
     def test_count_matches_formula_and_naive_oracle(self):
         rng = np.random.default_rng(0)
-        pick = np.random.default_rng(1)  # indices and slices, apart from the grid draws
         for _ in range(300):
             chunk_len = int(rng.integers(2, 200))
             hop = int(rng.integers(1, chunk_len + 1))
             n = int(rng.integers(chunk_len, 2000))
             cfg = ChunkingConfig(chunk_len_ms=chunk_len, hop_ms=hop)
             chunks = make_chunks(n, cfg, 1000)
-            assert len(chunks) == math.ceil((n - chunk_len) / hop) + 1
-            assert [c.start for c in chunks] == naive_chunk_starts(n, chunk_len, hop)
-            # full coverage, no empty chunks, exact hop between starts
-            assert chunks[0].start == 0 and chunks[-1].end == n
-            assert all(c.end > c.start for c in chunks)
-            assert all(
-                b.start - a.start == hop for a, b in zip(chunks, chunks[1:])
-            )
-            assert all(c.end - c.start == chunk_len for c in chunks[:-1])
-            # the grid as a sequence: iteration, int indexing and slices
-            as_list = list(chunks)
-            assert [(c.start, c.end) for c in as_list] == [
-                (s, min(s + chunk_len, n)) for s in naive_chunk_starts(n, chunk_len, hop)
-            ]
-            k = int(pick.integers(1, len(chunks) + 1))
-            assert chunks[k - 1] == as_list[k - 1] and chunks[-k] == as_list[-k]
-            lo, hi = (int(x) for x in pick.integers(-len(chunks) - 2, len(chunks) + 3, size=2))
-            step = int(pick.choice([-3, -1, 1, 2]))
-            assert chunks[lo:hi:step] == as_list[lo:hi:step]
-            for out_of_range in (len(chunks), -len(chunks) - 1):
-                with pytest.raises(IndexError):
-                    chunks[out_of_range]
+            assert chunks == ChunkGrid(hop, chunk_len, n)
+            assert len(chunks) == chunks.count == math.ceil((n - chunk_len) / hop) + 1
+            assert starts(chunks) == naive_chunk_starts(n, chunk_len, hop)
+            # full coverage: the last chunk reaches the end, and only it is cut off
+            last = starts(chunks)[-1]
+            assert last < n <= last + chunk_len
 
     def test_last_chunk_truncated(self):
         cfg = ChunkingConfig(chunk_len_ms=250, hop_ms=125)
         chunks = make_chunks(900, cfg, 1000)
-        assert chunks[-1].end == 900
-        assert chunks[-1].end - chunks[-1].start < 250
+        last = starts(chunks)[-1]
+        assert last == 750 and 900 - last < 250
 
     def test_chunk_longer_than_signal(self):
         with pytest.raises(ChunkLenExceedsSignal):
@@ -100,6 +91,36 @@ class TestMakeChunks:
     def test_hop_exceeding_length_rejected(self):
         with pytest.raises(InvalidHop):
             make_chunks(1000, ChunkingConfig(chunk_len_ms=100, hop_ms=150), 1000)
+
+
+@pytest.mark.parametrize("hop, length, n_samples", [
+    (0, 250, 1000),  # scored the first chunk count times over
+    (300, 250, 1000),  # left gaps between chunks that were never scored
+    (-125, 250, 1000),
+    (125, 250, 100),  # a chunk longer than the signal
+    (125, 0, 1000),
+    (125.0, 250, 1000),
+    (125, 250, None),
+], ids=["hop-0", "hop-over-length", "hop-negative", "length-over-signal", "length-0",
+        "float-hop", "no-sample-count"])
+def test_a_grid_make_chunks_cannot_return_is_refused(hop, length, n_samples):
+    with pytest.raises(ValueError, match="^no chunk grid has hop"):
+        ChunkGrid(hop, length, n_samples)
+
+
+@pytest.mark.parametrize("count", [3, 20])  # of the 7 chunks of 1000 samples
+def test_the_chunk_count_is_derived_and_cannot_be_given(count):
+    # A stored count once let a hand-built grid score 3 of 7 chunks, or 20
+    # chunks that ran past the signal end.
+    grid = ChunkGrid(125, 250, 1000)
+    assert grid == make_chunks(1000, ChunkingConfig(250, 125), 1000)
+    assert len(grid) == grid.count == 7
+    with pytest.raises(TypeError):
+        ChunkGrid(125, 250, count, 1000)
+    with pytest.raises(TypeError):
+        dataclasses.replace(grid, count=count)
+    with pytest.raises(AttributeError):
+        grid.count = count
 
 
 @pytest.mark.parametrize("make, error, field, value, message", [
@@ -151,7 +172,7 @@ class TestChunkRows:
         assert rows.shape == expected.shape == (grid.count, length)
         assert rows.strides == expected.strides == (8 * hop, 8)
         np.testing.assert_array_equal(rows, expected)
-        cut_off = len(grid[-1]) < length
+        cut_off = n - starts(grid)[-1] < length
         assert np.shares_memory(rows, x) is not cut_off
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
@@ -170,7 +191,7 @@ class TestChunkRows:
 class TestChunkEnergy:
     """`energy_db` of one chunk's sum of squares."""
 
-    idx = make_chunks(250, ChunkingConfig(250, 125), 1000)[0]
+    idx = slice(0, 250)
 
     def test_zero_chunk_hits_floor(self):
         energy = chunk_energy(np.zeros(250), self.idx)
@@ -192,7 +213,7 @@ class TestIsActive:
     """The activity rule, `active_mask`, on one chunk's target and estimate
     energies, and its per-chunk form `is_active` on waveforms."""
 
-    idx = make_chunks(250, ChunkingConfig(250, 125), 1000)[0]
+    idx = slice(0, 250)
     cfg = ActivityConfig(eta_db=15.0)
 
     def active(self, target, estimate):
@@ -222,7 +243,19 @@ class TestIsActive:
         a = Waveform(np.ones(250), 1000)
         b = Waveform(np.ones(300), 1000)
         with pytest.raises(LengthMismatch):
-            is_active(a, b, self.idx, self.cfg)
+            is_active(a, b, 0, 250, self.cfg)
+
+    def test_takes_a_range_of_the_signal(self):
+        loud, silent = Waveform(np.ones(500), 1000), Waveform(np.r_[np.zeros(250), np.ones(250)], 1000)
+        assert is_active(loud, loud, 250, 500, self.cfg)
+        assert not is_active(loud, silent, 0, 250, self.cfg)
+        assert is_active(loud, silent, 250, 500, self.cfg)
+
+    @pytest.mark.parametrize("start, end", [(-1, 250), (100, 100), (300, 200), (250, 501)])
+    def test_refuses_a_range_outside_the_signal(self, start, end):
+        w = Waveform(np.ones(500), 1000)
+        with pytest.raises(ValueError, match=re.escape(f"invalid chunk range [{start}, {end})")):
+            is_active(w, w, start, end, self.cfg)
 
 
 class TestWaveform:

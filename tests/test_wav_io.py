@@ -288,6 +288,17 @@ def test_refuses_to_write_more_than_a_riff_size_holds(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rate", [1 << 30, 10**12])
+def test_refuses_a_rate_whose_byte_rate_overflows_the_header(tmp_path, rate):
+    path = tmp_path / "fast.wav"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {rate} Hz is too high a rate")):
+        write_wav(str(path), Waveform(np.zeros(4), rate))
+    assert not path.exists()
+    highest = (1 << 30) - 1  # 4 bytes a sample: the byte rate fills 32 bits
+    write_wav(str(path), Waveform(np.zeros(4), highest))
+    assert read_wav(str(path)).sample_rate == highest
+
+
 def scipy_modules_after(script, *args):
     """The list of scipy modules that a fresh `python -c script args`, with
     chunksc on its path, has loaded when the script ends, as printed."""
