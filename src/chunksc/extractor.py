@@ -106,7 +106,6 @@ def init_params(seed: int) -> ToyExtractorParams:
         mask_b2=np.zeros(_SHAPES["mask_b2"]),
         decoder=basis.T.copy(),
     )
-    assert params.count() <= 50_000
     return params
 
 

@@ -10,6 +10,7 @@ exercised for real.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -117,10 +118,19 @@ def n_samples(duration_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE) -> int:
     return int(round(samples))
 
 
-def check_corpus_size(n_examples: int):
-    """`make_corpus`'s rule on its size: at least 1 example."""
+def check_corpus_size(n_examples: int, duration_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE):
+    """`make_corpus`'s rule on its size: at least 1 example, and no more
+    bytes of samples than this machine's physical memory, which the corpus
+    could never be held in. `duration_s` must pass `n_samples`."""
     if n_examples < 1:
         raise InvalidSetting("n_examples", n_examples, "must be at least 1")
+    example = 3 * n_samples(duration_s, sample_rate) + n_samples(ENROLLMENT_SECONDS, sample_rate)
+    needed = 8 * example * n_examples  # float64
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > memory:
+        rule = (f"{{value}} at {{duration_s}} {duration_s} needs {needed / 2**30:.1f} GiB of "
+                f"samples, more than the {memory / 2**30:.1f} GiB of physical memory")
+        raise InvalidSetting("n_examples", n_examples, rule)
 
 
 def _render_examples(sample_rate, signals, enrollments, draws):
@@ -213,9 +223,9 @@ def make_corpus(
     `gen_example` of each draw on one BLAS thread. No process is forked,
     and no thread outlives the call.
     """
-    check_corpus_size(n_examples)
     if not 0 < sample_rate < math.inf:
         raise InvalidSetting("sample_rate", sample_rate, "must be finite and positive")
+    check_corpus_size(n_examples, duration_s, sample_rate)
     n = n_samples(duration_s, sample_rate)
     speakers = make_speakers(CORPUS_SPEAKERS, seed)
     rng = np.random.default_rng(seed + 1)

@@ -565,6 +565,22 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("flag", ["--train-size", "--val-size"])
+    def test_corpus_larger_than_physical_memory_exits_2_naming_the_flag(
+        self, tmp_path, capsys, command, flag
+    ):
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        size = memory // (8 * (3 * 4 + 1) * RATE) + 1  # float64 4 s signals, 1 s enrollment
+        out = tmp_path / "run"
+        args = [command, "--train-size", "2", "--val-size", "2", "--duration", "4", flag, str(size),
+                "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {size} at --duration 4.0 needs "), err
+        assert err.endswith(" GiB of physical memory\n") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
     def test_negative_seed_refusal_names_the_flag(self, tmp_path, capsys, command):
         out = tmp_path / "run"
         args = [command, "--train-size", "2", "--val-size", "2", "--seed", "-1", "--out", str(out)]
@@ -810,6 +826,23 @@ def run_with_workers(monkeypatch, run_dir, n_workers, args):
         return main(args), started
 
 
+@pytest.fixture(scope="module")
+def forking_manifest(tmp_path_factory):
+    """Six rows of 8 kHz noise whose estimate files hold 3 x `cli._SHARE_BYTES`
+    between them: above the size rule for up to three processes."""
+    root = tmp_path_factory.mktemp("forking")
+    rng = np.random.default_rng(7)
+    samples = cli._SHARE_BYTES // 8 + 1  # 4 bytes a sample: half a share a row
+    triples = []
+    for i in range(6):
+        tgt, other = rng.uniform(-0.5, 0.5, size=(2, samples))
+        paths = [str(root / f"{name}{i}.wav") for name in ("est", "tgt", "mix")]
+        for path, x in zip(paths, (tgt + (0.1 + 0.2 * i) * other, tgt, tgt + other)):
+            write_wav(path, Waveform(x, RATE))
+        triples.append(paths)
+    return write_manifest(root, triples)
+
+
 def alive(pid):
     """Whether process `pid` exists and is not a zombie."""
     try:
@@ -958,6 +991,96 @@ class TestWorkers:
             finally:
                 if alive(worker):
                     os.kill(worker, signal.SIGKILL)
+
+    def test_reports_are_the_same_bytes_at_any_worker_count(
+        self, tmp_path, monkeypatch, forking_manifest
+    ):
+        reports = {}
+        for n in (0, 1, 2):
+            for command, out, hop in (("eval", "r.csv", "none"), ("eval", "r.json", "overlap"),
+                                      ("distribution", "d.csv", "overlap")):
+                run_dir = tmp_path / f"w{n}-{out}"
+                args = [command, "--manifest", forking_manifest, "--out", out, "--eval-hop", hop]
+                code, started = run_with_workers(monkeypatch, run_dir, n, args)
+                assert (code, started) == (0, [n])
+                reports[n, out] = (run_dir / out).read_bytes()
+        for (n, out), report in reports.items():
+            assert report == reports[0, out], (n, out)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad_rows", [[4], [1, 4]], ids=["worker-block", "both-blocks"])
+    def test_a_bad_row_exits_2_with_the_in_process_message(
+        self, tmp_path, monkeypatch, capsys, forking_manifest, bad_rows
+    ):
+        # with one worker, rows 0-2 are this process's and rows 3-5 the worker's
+        with open(forking_manifest) as fh:
+            lines = fh.read().splitlines()
+        broken = tmp_path / "broken.wav"
+        broken.write_text("not audio\n")
+        for k in bad_rows:
+            estimate, _, mixture = lines[k].split(",")
+            lines[k] = ",".join([estimate, str(broken), mixture])
+        manifest = tmp_path / "bad.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        errors = []
+        for n in (0, 1):
+            args = ["eval", "--manifest", str(manifest), "--out", "r.csv"]
+            code, started = run_with_workers(monkeypatch, tmp_path / f"w{n}", n, args)
+            assert (code, started) == (2, [n])
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / f"w{n}" / "r.csv").exists()
+        first = bad_rows[0]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(
+            f"error: manifest line {first + 1} ({lines[first].split(',')[0]}): "
+            f"{broken}: not a WAV file")
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_killed_mid_block_exits_1_naming_it(
+        self, tmp_path, monkeypatch, capsys, forking_manifest
+    ):
+        parent, real_statistics = os.getpid(), cli.sc_statistics
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real_statistics(*args)
+
+        monkeypatch.setattr(cli, "sc_statistics", dies_in_a_worker)
+        args = ["distribution", "--manifest", forking_manifest, "--out", "d.csv"]
+        code, started = run_with_workers(monkeypatch, tmp_path / "w1", 1, args)
+        assert (code, started) == (1, [1])
+        assert capsys.readouterr().err == (
+            "error: the worker 1 process ended with exit code 9 before sending a result\n"
+        )
+        assert not (tmp_path / "w1" / "d.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_manifest_under_the_size_rule_starts_no_worker(self, tmp_path, monkeypatch, corpus):
+        manifest = manifest_for(tmp_path, corpus, "mixture")  # 3 rows of 64 KB estimates
+        args = ["eval", "--manifest", manifest, "--out", "r.csv"]
+        code, started = run_with_workers(monkeypatch, tmp_path / "w2", 2, args)
+        assert (code, started) == (0, [0])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("estimate_bytes, n_workers, processes", [
+        (0, 5, 1), (2 * cli._SHARE_BYTES - 1, 5, 1), (2 * cli._SHARE_BYTES, 5, 2),
+        (6 * cli._SHARE_BYTES, 1, 2), (100 * cli._SHARE_BYTES, 5, 6),
+    ])
+    def test_processes_follow_the_estimate_bytes(
+        self, tmp_path, monkeypatch, estimate_bytes, n_workers, processes
+    ):
+        # six rows; a row whose estimate is missing counts 0 bytes
+        rows = []
+        for k, size in enumerate([estimate_bytes // 2, estimate_bytes - estimate_bytes // 2]):
+            path = tmp_path / f"est{k}.wav"
+            with open(path, "wb") as fh:
+                fh.truncate(size)
+            rows.append((k + 1, (str(path), "t.wav", "m.wav")))
+        rows += [(k + 3, (str(tmp_path / "missing.wav"), "t.wav", "m.wav")) for k in range(4)]
+        monkeypatch.setattr(cli, "worker_count", lambda: n_workers)
+        assert cli._process_count(rows) == processes
+        assert cli._process_count(rows[:1]) == 1
 
 
 def test_an_answer_to_a_parent_that_has_ended_is_dropped():

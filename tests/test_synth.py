@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from chunksc import SameSpeaker, gen_example, make_corpus, make_speakers, synth
+from chunksc import InvalidSetting, SameSpeaker, gen_example, make_corpus, make_speakers, synth
 from chunksc import _blas
 from chunksc.synth import DEFAULT_SAMPLE_RATE, ENROLLMENT_SECONDS, render_utterance
 
@@ -105,6 +105,21 @@ class TestMakeCorpus:
         with pytest.raises(ValueError, match="n_examples") as exc:
             make_corpus(n, seed=21)
         assert (exc.value.field, exc.value.value) == ("n_examples", n)
+
+    def test_corpus_larger_than_physical_memory_refused_before_allocating(self, monkeypatch):
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        # three float64 signals of 4 s and one enrollment
+        example = 8 * (3 * 4 + ENROLLMENT_SECONDS) * DEFAULT_SAMPLE_RATE
+        fits = int(memory // example)
+        synth.check_corpus_size(fits, 4.0)
+
+        def allocates(*args):
+            raise AssertionError("the corpus was allocated")
+
+        monkeypatch.setattr(np, "zeros", allocates)
+        with pytest.raises(InvalidSetting, match=f"n_examples {fits + 1} at duration_s 4.0") as exc:
+            make_corpus(fits + 1, seed=21, duration_s=4.0)
+        assert (exc.value.field, exc.value.value) == ("n_examples", fits + 1)
 
     @pytest.mark.parametrize("kw, name", [
         ({"sample_rate": 0}, "sample_rate"),
