@@ -147,26 +147,32 @@ def _read_config(path: str, actions: list[argparse.Action]) -> dict:
 
     Values are returned as strings, as if typed on the command line: argparse
     converts string defaults with the flag's type and reports a bad value.
-    It does not check choices on defaults, so that is done here.
+    An integer keeps the digits written, which may be more than Python
+    turns an int into a string with (4300). argparse does not check choices
+    on defaults, so that is done here. A refused value is named by its flag.
     """
     with open(path) as fh:
-        overrides = json.load(fh)
+        overrides = json.load(fh, parse_int=str)
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: expected a JSON object of flag defaults")
     dests = {a.dest for a in actions}
     unknown = [k for k in overrides if k.replace("-", "_") not in dests]
     if unknown:
         raise ValueError(f"{path}: no flag matches key(s) {', '.join(unknown)}")
-    # bool is an int subclass, but no flag takes true/false
-    bad = [k for k, v in overrides.items()
-           if isinstance(v, bool) or not isinstance(v, (int, float, str))]
+    # not true/false (no flag takes them), null, a list or an object
+    bad = [_flag(k) for k, v in overrides.items() if not isinstance(v, (float, str))]
     if bad:
-        raise ValueError(f"{path}: key(s) {', '.join(bad)} need a number or a string")
+        raise ValueError(f"{path}: the value of {', '.join(bad)} must be a number or a string")
     values = {k.replace("-", "_"): str(v) for k, v in overrides.items()}
     for a in actions:
         if a.dest in values and a.choices is not None and values[a.dest] not in a.choices:
-            raise ValueError(f"{path}: {a.dest} must be one of {', '.join(a.choices)}")
+            raise ValueError(f"{path}: {_flag(a.dest)} must be one of {', '.join(a.choices)}")
     return values
+
+
+def _flag(key: str) -> str:
+    """The flag of a config key or dest: --chunk-ms for chunk_ms or chunk-ms."""
+    return "--" + key.replace("_", "-")
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -217,7 +223,7 @@ def _loss_setup(args, overlap: bool = True) -> LossSetup:
     built before this call words that refusal its own way."""
     for name, value in _effective_config(args).items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+            raise ValueError(f"{_flag(name)} must be finite, got {value}")
     with _flags(args):
         return LossSetup(
             chunking=ChunkingConfig(args.chunk_ms, args.hop_ms if overlap else args.chunk_ms),
@@ -316,7 +322,7 @@ def _score_rows(args, setup, rows):
                 est, tgt, mix, chunks, setup.activity, setup.sisdr_cfg, setup.bins
             )
             sisdri = score - si_sdr(mix, tgt, setup.sisdr_cfg)
-        except (OSError, ValueError, ChunkscError) as exc:
+        except (OSError, ValueError, MemoryError, ChunkscError) as exc:
             raise ValueError(f"manifest line {line} ({row[0]}): {exc}") from exc
         name = os.path.splitext(os.path.basename(row[0]))[0]
         report.append({"id": name, "si_sdr": score, "si_sdri": sisdri, "stats": stats})
@@ -388,9 +394,11 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
 
     Builds every config at once, each checking its own settings, and
     names the flag of a refused one; then keeps freed heap in this
-    process (`keep_freed_heap`), then returns a generator of (kind,
-    params, history): first (None, ...) for the plain-loss warm-up of
-    --warmup-epochs at --lr from the seed's initialization, then one
+    process (`keep_freed_heap`) and renders both corpora, naming
+    --train-size or --val-size for one it cannot allocate; then returns
+    a generator of (kind, params, history): first (None, ...) for the
+    plain-loss warm-up of --warmup-epochs at --lr from the seed's
+    initialization, then one
     fine-tune per loss kind in `kinds` order, each starting from the warm-up
     parameters and from its last validation scores, which are those of the
     same parameters, so no fine-tune scores them again (a warm-up of 0
@@ -441,14 +449,17 @@ def _training_stages(args, kinds, lr_flag: str, epochs_flag: str):
         make_chunks(utterance, setup.chunking, DEFAULT_SAMPLE_RATE)
     # before the first fork, so that every worker and fine-tune inherits it
     keep_freed_heap()
+    # before --out is made, so that a corpus this process cannot allocate
+    # is refused by its flag and leaves nothing behind
+    with _flags(args, n_examples="--train-size"):
+        corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration)
+    with _flags(args, n_examples="--val-size"):
+        validation = make_corpus(args.val_size, seed=args.seed + 1000, duration_s=args.duration)
 
     def stages():
         n_workers = worker_count()
         children = []
         try:
-            corpus = make_corpus(args.train_size, seed=args.seed, duration_s=args.duration)
-            validation = make_corpus(args.val_size, seed=args.seed + 1000, duration_s=args.duration)
-
             def stage(kind, cfg, params, **kw):
                 return train(cfg, corpus, validation, replace(setup, loss_kind=kind), params, **kw)
 

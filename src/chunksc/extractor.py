@@ -80,9 +80,6 @@ class ToyExtractorParams:
         shape = {f.name: (*lead, *getattr(self, f.name).shape) for f in fields(self)}
         return ToyExtractorParams(**{name: shared_zeros(dims) for name, dims in shape.items()})
 
-    def count(self) -> int:
-        return sum(getattr(self, f.name).size for f in fields(self))
-
 
 def init_params(seed: int) -> ToyExtractorParams:
     """Seeded initialization.

@@ -13,6 +13,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -124,13 +125,22 @@ def check_corpus_size(n_examples: int, duration_s: float, sample_rate: int = DEF
     could never be held in. `duration_s` must pass `n_samples`."""
     if n_examples < 1:
         raise InvalidSetting("n_examples", n_examples, "must be at least 1")
-    example = 3 * n_samples(duration_s, sample_rate) + n_samples(ENROLLMENT_SECONDS, sample_rate)
-    needed = 8 * example * n_examples  # float64
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if needed > memory:
-        rule = (f"{{value}} at {{duration_s}} {duration_s} needs {needed / 2**30:.1f} GiB of "
-                f"samples, more than the {memory / 2**30:.1f} GiB of physical memory")
-        raise InvalidSetting("n_examples", n_examples, rule)
+    if _corpus_bytes(n_examples, duration_s, sample_rate) > memory:
+        raise _too_large(n_examples, duration_s, sample_rate,
+                         f"the {memory / 2**30:.1f} GiB of physical memory")
+
+
+def _corpus_bytes(n_examples: int, duration_s: float, sample_rate: int) -> int:
+    example = 3 * n_samples(duration_s, sample_rate) + n_samples(ENROLLMENT_SECONDS, sample_rate)
+    return 8 * example * n_examples  # float64
+
+
+def _too_large(n_examples: int, duration_s: float, sample_rate: int, limit: str) -> InvalidSetting:
+    # a Decimal, not a float: a count of examples may have hundreds of digits
+    gib = Decimal(_corpus_bytes(n_examples, duration_s, sample_rate)) / 2**30
+    rule = f"{{value}} at {{duration_s}} {duration_s} needs {gib:.1f} GiB of samples, more than {limit}"
+    return InvalidSetting("n_examples", n_examples, rule)
 
 
 def _render_examples(sample_rate, signals, enrollments, draws):
@@ -221,7 +231,9 @@ def make_corpus(
     then the examples are rendered on threads, one per CPU this process may
     run on, each into its own rows of one array, to the same bits as
     `gen_example` of each draw on one BLAS thread. No process is forked,
-    and no thread outlives the call.
+    and no thread outlives the call. Besides `check_corpus_size`'s rule, a
+    corpus whose samples this process cannot allocate is refused as an
+    InvalidSetting of `n_examples`.
     """
     if not 0 < sample_rate < math.inf:
         raise InvalidSetting("sample_rate", sample_rate, "must be finite and positive")
@@ -234,9 +246,12 @@ def make_corpus(
         a, b = rng.choice(len(speakers), size=2, replace=False)
         snr = rng.uniform(*CORPUS_SNR_DB)
         draws.append((j, speakers[a], speakers[b], float(snr), int(rng.integers(0, 2**31))))
-    signals = np.zeros((n_examples, 3, n))
-    enrollments = np.zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
-    _render_in_threads(sample_rate, signals, enrollments, draws)
+    try:
+        signals = np.zeros((n_examples, 3, n))
+        enrollments = np.zeros((n_examples, n_samples(ENROLLMENT_SECONDS, sample_rate)))
+        _render_in_threads(sample_rate, signals, enrollments, draws)
+    except MemoryError:  # e.g. beyond the address-space limit (ulimit -v)
+        raise _too_large(n_examples, duration_s, sample_rate, "this process could allocate") from None
     return [
         _example(signals[j], enrollments[j], sample_rate, spk_a.id)
         for j, spk_a, *_ in draws

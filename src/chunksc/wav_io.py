@@ -8,12 +8,14 @@ naming the path, anything multi-channel, any other sample format (8-bit,
 without a `data` chunk, and one whose `data` chunk is cut short. It reads
 each file in one pass, parsing the header itself. Float64 data is read
 straight into the samples it returns, narrower data through one scratch
-block that is widened into them block by block. The writer always emits
-32-bit float.
+block that is widened into them block by block. Samples it allocates live
+in a private anonymous mapping of their own (`_private_samples`). The
+writer always emits 32-bit float.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 
@@ -40,8 +42,10 @@ def read_wav(path: str, out: np.ndarray | None = None) -> Waveform:
     samples are written into `out[:n]` and the Waveform views them, so
     reading the next file into the same `out` overwrites them; when `out`
     is None or shorter than the file, a new array of exactly n samples is
-    allocated instead. `out` must be a 1-D C-contiguous float64 array. A
-    refused file may leave `out` partly overwritten.
+    allocated instead, in a fresh private mapping (`_private_samples`),
+    and memory that cannot be mapped raises OSError (ENOMEM). `out` must
+    be a 1-D C-contiguous float64 array. A refused file may leave `out`
+    partly overwritten.
     """
     if out is not None and not (
         out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
@@ -59,7 +63,7 @@ def read_wav(path: str, out: np.ndarray | None = None) -> Waveform:
                 left, n_bytes = os.fstat(fh.fileno()).st_size - fh.tell(), n * dtype.itemsize
                 if left < n_bytes:
                     raise ValueError(f"data chunk cut short: {left} of {n_bytes} bytes")
-                out = np.empty(n)
+                out = _private_samples(n)
             samples = out[:n]
             _read_samples(fh, dtype, samples)
     except ValueError as exc:
@@ -68,6 +72,27 @@ def read_wav(path: str, out: np.ndarray | None = None) -> Waveform:
         return Waveform(samples, rate)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _private_samples(n: int) -> np.ndarray:
+    """n float64 samples in a fresh private anonymous mapping, advised to
+    use huge pages where the platform has that advice; unmapped with the
+    array.
+
+    Not from the malloc heap: glibc raises its mmap threshold as large
+    arrays are freed, so multi-MB samples come from heap pages that
+    earlier calls freed, and a process forked afterwards (`eval`'s
+    workers) shares those copy-on-write; the first write to each 4 KiB
+    page on either side then copies it. A mapping made after the fork
+    shares nothing, and huge pages take fewer first-touch faults. No
+    samples map nothing: the Waveform refuses them.
+    """
+    if n == 0:
+        return np.empty(0)
+    pages = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, np.float64)
 
 
 def _read_header(fh) -> tuple[int, np.dtype, int]:

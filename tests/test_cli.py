@@ -1,3 +1,4 @@
+import argparse
 import errno
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import pickle
 import platform
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -254,6 +256,44 @@ class TestEval:
             reports[threads] = {p.name: p.read_bytes() for p in run_dir.iterdir()}
         assert sorted(reports["1"]) == ["d.csv", "r.csv", "r.json"]
         assert reports["2"] == reports["1"]
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_read_that_cannot_get_its_memory_exits_2_naming_the_row(
+        self, tmp_path, corpus, run_limited, rows
+    ):
+        # the last estimate holds 2**26 zero samples (512 MiB as float64,
+        # twice the headroom) in a file whose data is a hole, so it takes
+        # no disk; with 2 rows it is a worker's, where a second CPU exists
+        huge = tmp_path / "huge.wav"
+        n = 1 << 26
+        fmt = struct.pack("<HHIIHH", 1, 1, RATE, 2 * RATE, 2, 16)
+        header = (b"RIFF" + struct.pack("<I", 36 + 2 * n) + b"WAVE" + b"fmt "
+                  + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", 2 * n))
+        with open(huge, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + 2 * n)
+        triples = partial_estimate_triples(tmp_path, corpus)[:rows]
+        triples[-1][0] = str(huge)
+        manifest = write_manifest(tmp_path, triples)
+        run = run_limited(["eval", "--manifest", manifest, "--out", "r.csv"], tmp_path,
+                          headroom=256 << 20)
+        assert (run.returncode, run.stderr) == (
+            2, f"error: manifest line {rows} ({huge}): [Errno 12] Cannot allocate memory\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_a_row_whose_scoring_cannot_get_its_memory_exits_2_naming_it(
+        self, tmp_path, corpus, monkeypatch, capsys
+    ):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.32 MiB for an array")
+
+        monkeypatch.setattr(cli, "sc_statistics", no_memory)
+        manifest = manifest_for(tmp_path, corpus, "target")
+        assert main(["eval", "--manifest", manifest, "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: manifest line 2 ({tmp_path / 'est0.wav'}): "
+            "Unable to allocate 7.32 MiB for an array\n")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_manifest_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -581,6 +621,22 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("flag", ["--train-size", "--val-size"])
+    def test_corpus_beyond_the_address_space_limit_exits_2_naming_the_flag(
+        self, tmp_path, run_limited, command, flag
+    ):
+        # 40 examples of 60 s need 0.43 GiB, twice the headroom; the other
+        # corpus has 1 example, which fits
+        sizes = {"--train-size": "1", "--val-size": "1", flag: "40"}
+        args = [command, "--epochs" if command == "train" else "--finetune-epochs", "1",
+                "--duration", "60", *itertools.chain(*sizes.items()), "--out", "run"]
+        run = run_limited(args, tmp_path, headroom=220 << 20)
+        assert (run.returncode, run.stderr) == (2, (
+            f"error: {flag} 40 at --duration 60.0 needs 0.4 GiB of samples, "
+            "more than this process could allocate\n"))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
     def test_negative_seed_refusal_names_the_flag(self, tmp_path, capsys, command):
         out = tmp_path / "run"
         args = [command, "--train-size", "2", "--val-size", "2", "--seed", "-1", "--out", str(out)]
@@ -715,7 +771,8 @@ class Accepted(Exception):
 
 
 # Edge values for every setting flag, and list items for --bins and --weights.
-EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300", str(10**30), "x", ""]
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300", str(10**30), str(10**400),
+               "x", ""]
 SCORING_FLAGS = ["--chunk-ms", "--hop-ms", "--eta", "--clamp-db", "--bins"]
 TRAINING_FLAGS = [*SCORING_FLAGS, "--seed", "--lr", "--finetune-lr", "--batch", "--train-size",
                   "--val-size", "--duration", "--gamma1", "--gamma2", "--weights", "--warmup-epochs"]
@@ -756,19 +813,71 @@ def one_row_manifest(tmp_path_factory, corpus):
 @given(run=setting_runs())
 def test_a_setting_is_taken_or_refused_naming_its_flag(tmp_path, monkeypatch, capsys,
                                                          one_row_manifest, run):
-    # train and compare stop at their first stage, so nothing is rendered, trained or forked
+    command, flags, argv = run
+    assert_taken_or_refused_naming_a_flag(monkeypatch, capsys, tmp_path, one_row_manifest,
+                                          command, argv, flags)
+
+
+# Every key a config file may hold for each subcommand: the dest of each of
+# its flags but --help.
+CONFIG_KEYS = {
+    command: sorted(a.dest for a in sub._actions if a.option_strings and a.dest != "help")
+    for command, sub in next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices.items()
+}
+# JSON value tokens, as written in the file: the non-standard NaN and
+# Infinity that Python's json reads, integers beyond a float and beyond
+# Python's 4300-digit int-to-string limit, booleans, null, lists, objects,
+# and strings, some of them a flag's choice.
+CONFIG_TOKENS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 30, "1" + "0" * 400, "-1" + "0" * 400,
+    "1" + "0" * 5000, "0", "-1", "1.5", "1e-300", "true", "false", "null", "[]", "[4]",
+    "{}", '{"n": 4}',
+    *(json.dumps(v) for v in [*EDGE_VALUES, "overlap", "json", "weight", "-5,0,5", "1,1,1,1"]),
+]
+
+
+@st.composite
+def config_runs(draw):
+    """(command, the flags of the keys given, the config file's text)."""
+    command = draw(st.sampled_from(sorted(CONFIG_KEYS)))
+    keys = draw(st.lists(st.sampled_from(CONFIG_KEYS[command]), min_size=1, max_size=3, unique=True))
+    entries = []
+    for key in keys:
+        spelled = key.replace("_", "-") if draw(st.booleans()) else key
+        entries.append(f"{json.dumps(spelled)}: {draw(st.sampled_from(CONFIG_TOKENS))}")
+    return command, [f"--{key.replace('_', '-')}" for key in keys], "{" + ", ".join(entries) + "}"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=config_runs())
+def test_a_config_value_is_taken_or_refused_naming_its_flag(tmp_path, monkeypatch, capsys,
+                                                             one_row_manifest, run):
+    command, flags, text = run
+    config = tmp_path / f"config{next(RUN_NUMBERS)}.json"
+    config.write_text(text)
+    assert_taken_or_refused_naming_a_flag(monkeypatch, capsys, tmp_path, one_row_manifest,
+                                          command, [], flags, config=str(config))
+
+
+def assert_taken_or_refused_naming_a_flag(monkeypatch, capsys, tmp_path, manifest, command,
+                                          argv, flags, config=None):
+    """Run `command` with `argv` (and --config `config`): it exits 0 or 2,
+    with no traceback, and a refusal names one of `flags` and makes no
+    --out. train and compare stop at their first stage, so nothing is
+    rendered, trained or forked."""
     def first_stage(*args, **kwargs):
         raise Accepted
 
     for name in ("make_corpus", "train"):
         monkeypatch.setattr(cli, name, first_stage)
     monkeypatch.setattr(cli, "keep_freed_heap", lambda: None)
-    command, flags, argv = run
     out = tmp_path / f"out{next(RUN_NUMBERS)}.csv"
     if command in ("eval", "distribution"):
-        argv = [*argv, "--manifest", one_row_manifest]
+        argv = [*argv, "--manifest", manifest]
     try:
-        code = main([command, *argv, "--out", str(out)])
+        code = main([*(["--config", config] if config else []), command, *argv, "--out", str(out)])
     except SystemExit as exc:  # argparse refuses a value its flag's type does not take
         code = exc.code
     except Accepted:

@@ -31,6 +31,7 @@ from chunksc import (
     si_sdr,
 )
 from chunksc.extractor import (
+    _SHAPES,
     HistoryRow,
     LossSetup,
     ToyExtractorParams,
@@ -75,8 +76,8 @@ def openblas_thread_controls():
 class TestInitAndShapes:
     def test_parameter_budget(self):
         p = init_params(0)
-        assert p.count() == 18_624
-        assert p.count() <= 50_000
+        assert {name: getattr(p, name).shape for name in _SHAPES} == _SHAPES
+        assert sum(math.prod(shape) for shape in _SHAPES.values()) == 18_624
 
     def test_deterministic(self):
         a, b = init_params(3), init_params(3)

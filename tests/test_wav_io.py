@@ -1,3 +1,4 @@
+import mmap
 import os
 import re
 import struct
@@ -211,6 +212,29 @@ def test_reads_into_out_when_it_is_long_enough(tmp_path):
     w = read_wav(path, too_short)
     assert not np.shares_memory(w.samples, too_short) and w.samples.size == 999
     assert np.isnan(too_short).all()
+
+
+def test_allocates_samples_in_a_private_mapping_of_their_own(tmp_path):
+    # not heap pages that a process forked later would share copy-on-write
+    path = str(tmp_path / "x.wav")
+    wavfile.write(path, 8000, samples_of(np.float32))
+    w = read_wav(path, np.empty(998))
+    owner = w.samples
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    assert isinstance(owner.obj, mmap.mmap) and w.samples.flags.writeable
+    assert w.samples.size == 999
+
+
+def test_refuses_a_data_chunk_without_samples_as_empty_samples(tmp_path):
+    path = tmp_path / "empty.wav"
+    empty = np.zeros(0, np.float32)
+    path.write_bytes(riff(chunk(b"fmt ", fmt_body(3, 8000, empty)), chunk(b"data", b"")))
+    for out in (None, np.empty(10)):
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: samples must be a non-empty 1-D sequence"
+        )):
+            read_wav(str(path), out)
 
 
 @pytest.mark.parametrize("form", ["riff", "rf64"])
