@@ -64,7 +64,7 @@ from .metrics import (
 )
 from .signal_core import ActivityConfig, ChunkingConfig, make_chunks
 from .synth import DEFAULT_SAMPLE_RATE, check_corpus_size, make_corpus, n_samples
-from .wav_io import read_wav
+from .wav_io import _rewrite, read_wav
 
 
 def _add_metric_flags(p: argparse.ArgumentParser):
@@ -143,7 +143,8 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _read_config(path: str, actions: list[argparse.Action]) -> dict:
-    """Flag defaults from a JSON object; every key must name a flag of some subcommand.
+    """Flag defaults from a JSON object; every key must name a setting's flag
+    of some subcommand (not --help or --config).
 
     Values are returned as strings, as if typed on the command line: argparse
     converts string defaults with the flag's type and reports a bad value.
@@ -155,7 +156,7 @@ def _read_config(path: str, actions: list[argparse.Action]) -> dict:
         overrides = json.load(fh, parse_int=str)
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: expected a JSON object of flag defaults")
-    dests = {a.dest for a in actions}
+    dests = {a.dest for a in actions if a.option_strings and a.dest not in ("help", "config")}
     unknown = [k for k in overrides if k.replace("-", "_") not in dests]
     if unknown:
         raise ValueError(f"{path}: no flag matches key(s) {', '.join(unknown)}")
@@ -358,8 +359,7 @@ def _write_report(path, fmt, config, columns, rows, summary=None):
         if summary:
             payload["summary"] = [cell(v) for v in summary]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    _rewrite(path, text)
 
 
 def cmd_eval(args) -> int:
@@ -515,8 +515,7 @@ def cmd_train(args) -> int:
 
 def _write_train_outputs(args, params, history):
     header = "# config: " + json.dumps(_effective_config(args), sort_keys=True) + "\n"
-    with open(os.path.join(args.out, "history.csv"), "w") as fh:
-        fh.write(header + history_to_csv(history))
+    _rewrite(os.path.join(args.out, "history.csv"), header + history_to_csv(history))
     if params is not None:
         save_checkpoint(os.path.join(args.out, "checkpoint.json"), params)
 
@@ -541,8 +540,7 @@ def cmd_compare(args) -> int:
                 save_checkpoint(os.path.join(args.out, f"{name}_checkpoint.json"), params)
                 final = history[-1]
                 rows.append([name, warm_hash, final.val_sisdri, final.val_rscr])
-                with open(os.path.join(args.out, f"{name}_history.csv"), "w") as fh:
-                    fh.write(history_to_csv(history))
+                _rewrite(os.path.join(args.out, f"{name}_history.csv"), history_to_csv(history))
         except DivergenceDetected as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3

@@ -27,6 +27,7 @@ from .losses import LossResult, LossSetup, compute_loss
 from .metrics import distribution_report, sc_statistics, si_sdr_improvement
 from .signal_core import ChunkingConfig, Waveform, make_chunks
 from .synth import MixtureExample
+from .wav_io import _rewrite
 
 FRAME_SIZE = 64
 FEAT_DIM = 64
@@ -406,8 +407,7 @@ def checkpoint_text(p: ToyExtractorParams) -> str:
 def save_checkpoint(path: str, p: ToyExtractorParams | str) -> None:
     """Write the JSON checkpoint of parameters `p`, or `p` when it is their
     `checkpoint_text` already, in one write."""
-    with open(path, "w") as fh:
-        fh.write(p if isinstance(p, str) else checkpoint_text(p))
+    _rewrite(path, p if isinstance(p, str) else checkpoint_text(p))
 
 
 def load_checkpoint(path: str) -> ToyExtractorParams:

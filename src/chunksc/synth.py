@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -188,32 +188,17 @@ def _thread_count() -> int:
 
 def _render_in_threads(sample_rate, signals, enrollments, draws):
     """`_render_examples` over the blocks of `draws` that `_fork.split` makes
-    for one thread per CPU, the first block on this thread. np.sin and the
-    other whole-array ufuncs release the GIL, so the threads run at once.
-    Every thread has ended before the return, also on error; then the first
-    error in block order is raised."""
+    for one thread per CPU, the first block on this thread, each other in a
+    thread pool. np.sin and the other whole-array ufuncs release the GIL, so
+    the threads run at once. Every thread has ended before the return, also
+    on error; then the first error in block order is raised."""
     blocks = split(draws, _thread_count())
-    errors = [None] * len(blocks)
-
-    def render(k):
-        try:
-            _render_examples(sample_rate, signals, enrollments, blocks[k])
-        except Exception as exc:  # raised below, once every thread has ended
-            errors[k] = exc
-
-    started = []
-    try:
-        for k in range(1, len(blocks)):
-            thread = threading.Thread(target=render, args=(k,), name=f"chunksc render {k}")
-            thread.start()
-            started.append(thread)
-        render(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    with ThreadPoolExecutor(max(1, len(blocks) - 1), "chunksc render") as pool:
+        rest = [pool.submit(_render_examples, sample_rate, signals, enrollments, block)
+                for block in blocks[1:]]
+        _render_examples(sample_rate, signals, enrollments, blocks[0])
+        for future in rest:
+            future.result()
 
 
 @one_blas_thread()

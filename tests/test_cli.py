@@ -45,7 +45,9 @@ from chunksc.extractor import (
     HistoryRow,
     LossSetup,
     TrainConfig,
+    checkpoint_text,
     history_to_csv,
+    init_params,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -416,13 +418,15 @@ class TestConfigPrecedence:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("key", ["epoch", "weight-mode"])
+    @pytest.mark.parametrize("key", ["epoch", "weight-mode", "help", "command", "config"])
     def test_config_key_matching_no_flag_exits_2(self, tmp_path, capsys, key):
+        # --help, --config and the subcommand take no setting
+        value = {"command": "train", "config": "x.json"}.get(key, 1)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 1}))
+        cfg.write_text(json.dumps({key: value}))
         out = tmp_path / "run"
         assert main(["--config", str(cfg), *train_args(str(out))]) == 2
-        assert key in capsys.readouterr().err
+        assert f"no flag matches key(s) {key}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
@@ -1457,3 +1461,93 @@ class TestCompare:
             "[Errno 11] Resource temporarily unavailable\n"
         )
         assert multiprocessing.active_children() == []
+
+
+class TestOutputsRewrittenInPlace:
+    """Every output is written over the file at its path, which is not
+    truncated when opened (`wav_io._rewrite`)."""
+
+    @pytest.mark.parametrize("output", ["wav", "checkpoint", "report"])
+    def test_shorter_content_over_a_longer_file_leaves_exactly_its_bytes(
+        self, tmp_path, corpus, monkeypatch, output
+    ):
+        manifest = manifest_for(tmp_path, corpus, "target")
+        monkeypatch.chdir(tmp_path)
+
+        def write(path):
+            if output == "wav":
+                write_wav(path, corpus[0].target)
+            elif output == "checkpoint":
+                save_checkpoint(path, init_params(0))
+            else:
+                assert main(["eval", "--manifest", manifest, "--out", path]) == 0
+
+        os.mkdir("fresh")
+        os.mkdir("again")
+        (tmp_path / "again" / "out").write_bytes(b"\xff" * 4_000_000)
+        for run_dir in ("fresh", "again"):
+            monkeypatch.chdir(tmp_path / run_dir)
+            write("out")
+        expected = (tmp_path / "fresh" / "out").read_bytes()
+        assert 0 < len(expected) < 4_000_000
+        assert (tmp_path / "again" / "out").read_bytes() == expected
+
+    def test_a_symlinked_out_stays_a_symlink_to_the_report(self, tmp_path, corpus):
+        manifest = manifest_for(tmp_path, corpus, "target")
+        out, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        assert main(["eval", "--manifest", manifest, "--out", str(out)]) == 0
+        expected = out.read_bytes()
+        out.unlink()
+        target.write_bytes(b"\xff" * 100_000)
+        out.symlink_to(target)
+        assert main(["eval", "--manifest", manifest, "--out", str(out)]) == 0
+        assert out.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_eval_into_dev_null_exits_0(self, tmp_path, corpus):
+        if not os.path.exists(os.devnull):
+            pytest.skip(f"no {os.devnull}")
+        manifest = manifest_for(tmp_path, corpus, "target")
+        assert main(["eval", "--manifest", manifest, "--out", os.devnull]) == 0
+
+    def test_no_output_is_opened_to_be_truncated(self, tmp_path, corpus, monkeypatch):
+        manifest = manifest_for(tmp_path, corpus, "target")
+        opened, real_open = {}, os.open
+
+        def recorded(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorded)
+        monkeypatch.chdir(tmp_path)
+        write_wav("x.wav", corpus[0].target)
+        save_checkpoint("x.json", checkpoint_text(init_params(0)))
+        assert main(["eval", "--manifest", manifest, "--out", "report.csv"]) == 0
+        assert main(train_args("train")) == 0
+        assert main(compare_args("cmp")) == 0
+        outputs = ["x.wav", "x.json", "report.csv", "train/history.csv", "train/checkpoint.json",
+                   "cmp/comparison.csv", "cmp/warmup_checkpoint.json"]
+        outputs += [f"cmp/{kind.value}_{part}" for kind in LossKind
+                    for part in ("checkpoint.json", "history.csv")]
+        assert sorted(opened) == sorted(outputs)
+        for path, flags in opened.items():
+            assert not flags & os.O_TRUNC, path
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_a_rerun_into_the_same_out_writes_the_bytes_of_a_fresh_run(
+        self, tmp_path, monkeypatch, command
+    ):
+        # the first run into "again" trains longer, so every file it leaves
+        # is rewritten, most by shorter content
+        if command == "train":
+            args, longer = train_args("run"), train_args("run", ["--epochs", "3", "--seed", "5"])
+        else:
+            args = compare_args("run")
+            longer = compare_args("run", "--finetune-epochs", "2", "--seed", "5")
+        for run_dir, runs in (("fresh", [args]), ("again", [longer, args])):
+            (tmp_path / run_dir).mkdir()
+            monkeypatch.chdir(tmp_path / run_dir)
+            for argv in runs:
+                assert main(argv) == 0
+        fresh = read_outputs(tmp_path / "fresh" / "run")
+        assert read_outputs(tmp_path / "again" / "run") == fresh
